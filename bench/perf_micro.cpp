@@ -12,7 +12,6 @@
 #include <sstream>
 
 #include "analysis/overlay.hpp"
-#include "analysis/parallel.hpp"
 #include "engine/engine.hpp"
 #include "lint/lint.hpp"
 #include "analysis/patterns.hpp"
@@ -239,7 +238,7 @@ void BM_SosAnalysisParallel(benchmark::State& state) {
   util::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        analysis::analyzeSosParallel(tr, f, analysis::SyncClassifier{}, pool));
+        analysis::analyzeSos(tr, f, analysis::SyncClassifier{}, &pool));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(tr.eventCount()));

@@ -7,8 +7,9 @@
 /// engine re-query -> SOS streaming replay), and every run reports the
 /// same global iterations/second counter — so two builds are comparable
 /// number for number. The skewed-tail analyze additionally records its
-/// own pre-optimization baseline (static partition + reference kernels)
-/// in the same run, making the headline speedup self-contained.
+/// own pre-optimization baseline (detail::analyzeTraceReference on the
+/// same hardware-concurrency pool, work stealing on) in the same run,
+/// making the headline speedup self-contained.
 ///
 /// Output: BENCH_throughput.json (override with --out FILE). --smoke
 /// shrinks the scale trace and the time budgets so the run finishes in
@@ -103,15 +104,6 @@ StageResult timeStage(const std::string& name, double budgetSeconds,
   return r;
 }
 
-analysis::PipelineOptions pipelineOptions(bool stealing,
-                                          bool referenceKernels) {
-  analysis::PipelineOptions opts;
-  opts.threads = 0;  // hardware concurrency, sharded even at 1 core
-  opts.stealing = stealing;
-  opts.referenceKernels = referenceKernels;
-  return opts;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -158,46 +150,33 @@ int main(int argc, char** argv) {
   }));
 
   // ---- stage 2: full analyze of the skewed scale trace ---------------------
-  // Three variants in one run: the pre-optimization baseline (static
-  // partition + reference kernels), stealing-off with the tuned kernels
-  // (isolates the scheduler), and the tuned configuration. All three are
-  // bit-identical in output; only the wall clock differs.
-  util::ThreadPoolStats poolStats;
+  // Two variants in one run on the same hardware-concurrency pool (sharded
+  // even at 1 core): the pre-optimization reference kernels and the tuned
+  // ones. Both are bit-identical in output; only the wall clock differs.
+  util::ThreadPool pool(0);
   StageResult baseline = timeStage(
       "analyze_baseline", budget, 1, true, [&] {
         const auto result =
-            analysis::analyzeTrace(scale, pipelineOptions(false, true));
-        if (result.variation.processes.empty()) {
-          std::abort();
-        }
-      });
-  StageResult stealingOff = timeStage(
-      "analyze_stealing_off", budget, 1, true, [&] {
-        const auto result =
-            analysis::analyzeTrace(scale, pipelineOptions(false, false));
+            analysis::detail::analyzeTraceReference(scale, {}, &pool);
         if (result.variation.processes.empty()) {
           std::abort();
         }
       });
   StageResult tuned = timeStage("analyze", budget, 1, true, [&] {
-    analysis::PipelineOptions opts = pipelineOptions(true, false);
-    opts.poolStats = &poolStats;
-    const auto result = analysis::analyzeTrace(scale, opts);
+    pool.resetStats();  // keep the counters of the last rep only
+    const auto result = analysis::analyzeTrace(scale, {}, &pool);
     if (result.variation.processes.empty()) {
       std::abort();
     }
   });
+  const util::ThreadPoolStats poolStats = pool.stats();
   stages.push_back(tuned);
   const double speedupEndToEnd =
       tuned.secondsPerIter() > 0.0
           ? baseline.secondsPerIter() / tuned.secondsPerIter()
           : 0.0;
-  const double speedupScheduler =
-      tuned.secondsPerIter() > 0.0
-          ? stealingOff.secondsPerIter() / tuned.secondsPerIter()
-          : 0.0;
   std::cout << "  speedup vs baseline: " << speedupEndToEnd
-            << "x end-to-end, " << speedupScheduler << "x scheduler-only\n";
+            << "x end-to-end\n";
   std::cout << formatThreadPoolStats(poolStats);
 
   // ---- stage 3: lint of the paper trace ------------------------------------
@@ -325,14 +304,10 @@ int main(int argc, char** argv) {
     j.beginObject();
     j.key("baseline_s");
     j.value(baseline.secondsPerIter());
-    j.key("stealing_off_s");
-    j.value(stealingOff.secondsPerIter());
     j.key("tuned_s");
     j.value(tuned.secondsPerIter());
     j.key("speedup_end_to_end");
     j.value(speedupEndToEnd);
-    j.key("speedup_scheduler");
-    j.value(speedupScheduler);
     j.key("target_speedup");
     j.value(targetSpeedup);
     j.key("meets_target");

@@ -63,8 +63,10 @@ struct ToolOptions {
   /// --send-timeout-ms N: serve only — per-send poll timeout before a
   /// slow peer is treated as dead (0 = block forever).
   std::size_t sendTimeoutMs = 5000;
-  /// --retry N: connect only — connection attempts before giving up.
-  std::size_t retry = 50;
+  /// --retry N: connect only — connection attempts before giving up. The
+  /// default's whole backoff schedule (100+200+400+800+1600+3x2000 ms)
+  /// waits 9.1 s, so a missing daemon fails within 10 s.
+  std::size_t retry = 8;
   /// --retry-delay-ms N: connect only — initial backoff delay; doubles
   /// per attempt up to 2 s.
   std::size_t retryDelayMs = 100;

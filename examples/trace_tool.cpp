@@ -243,7 +243,7 @@ void printUsage(std::ostream& out) {
       "                         stalled client is dropped (0 = block\n"
       "                         forever; default 5000)\n"
       "  --retry N              connect only: connection attempts before\n"
-      "                         giving up (default 50)\n"
+      "                         giving up (default 8, about 9 s)\n"
       "  --retry-delay-ms N     connect only: initial retry delay;\n"
       "                         doubles per attempt up to 2s (default\n"
       "                         100)\n"

@@ -168,7 +168,8 @@ const char* depNodeKindName(DepNodeKind k) {
 }
 
 DepGraph buildDepGraph(const trace::TraceView& trace,
-                       const DepGraphOptions& options) {
+                       const DepGraphOptions& options,
+                       util::ThreadPool* pool) {
   DepGraph graph;
   graph.processCount = trace.processCount();
   graph.functionCount = trace.functions().size();
@@ -179,14 +180,8 @@ DepGraph buildDepGraph(const trace::TraceView& trace,
   // independent of scheduling (parallelChunks' chunk boundaries depend
   // only on n and grain, and shards merge in rank order below).
   std::vector<RankShard> shards(graph.processCount);
-  util::ThreadPool* pool = options.pool;
-  std::unique_ptr<util::ThreadPool> owned;
-  if (pool == nullptr && options.threads != 1) {
-    owned = std::make_unique<util::ThreadPool>(options.threads);
-    pool = owned.get();
-  }
-  util::parallelChunks(pool, graph.processCount,
-                       std::max<std::size_t>(1, options.grainSizeRanks),
+  const util::PoolScope scope(pool, options.threads);
+  util::parallelChunks(scope.get(), graph.processCount, 1,
                        [&](std::size_t begin, std::size_t end) {
                          for (std::size_t p = begin; p < end; ++p) {
                            shards[p] = extractRank(
@@ -610,13 +605,12 @@ IdleWaveReport detectIdleWaves(const DepGraph& graph,
 }
 
 DepAnalysis analyzeDependencies(const trace::TraceView& trace,
-                                const DepAnalysisOptions& options) {
+                                const DepAnalysisOptions& options,
+                                util::ThreadPool* pool) {
   DepGraphOptions graphOptions;
   graphOptions.sync = options.sync;
   graphOptions.threads = options.threads;
-  graphOptions.grainSizeRanks = options.grainSizeRanks;
-  graphOptions.pool = options.pool;
-  const DepGraph graph = buildDepGraph(trace, graphOptions);
+  const DepGraph graph = buildDepGraph(trace, graphOptions, pool);
 
   DepAnalysis analysis;
   analysis.processCount = graph.processCount;

@@ -28,7 +28,7 @@
 ///     sent by a rank that was itself delayed earlier. The head of a
 ///     chain names the origin rank of the wave.
 ///
-/// Determinism discipline (same contract as analysis/parallel.hpp): node
+/// Determinism discipline (same contract as analyzeTrace, pipeline.hpp): node
 /// extraction is sharded per rank — each rank's nodes are a pure function
 /// of its own event stream — and every cross-rank phase (matching, path
 /// walk, detectors) is serial with total tie-break orders, so all results
@@ -116,18 +116,15 @@ struct DepGraphStats {
   bool operator==(const DepGraphStats& other) const = default;
 };
 
-/// Options of buildDepGraph(). Execution fields (threads/grain/pool) do
-/// not change the result.
+/// Options of buildDepGraph(). The execution field (threads) does not
+/// change the result.
 struct DepGraphOptions {
   /// Classifier deciding which regions count as synchronization (the
   /// waitStart attribution of receives).
   SyncClassifier sync{};
-  /// Worker threads of the per-rank extraction: 1 = inline, 0 = hardware.
+  /// Worker threads of the per-rank extraction when buildDepGraph() is not
+  /// given a pool: 1 = inline, 0 = hardware.
   std::size_t threads = 1;
-  /// Ranks per pool task when threads != 1.
-  std::size_t grainSizeRanks = 1;
-  /// Optional external pool; overrides `threads` when set.
-  util::ThreadPool* pool = nullptr;
 };
 
 /// The happens-before graph of one trace. Nodes are grouped by rank
@@ -146,9 +143,11 @@ struct DepGraph {
 };
 
 /// Build the happens-before graph. Never throws on trace content; the
-/// per-rank extraction is sharded (byte-identical at every thread count).
+/// per-rank extraction runs on `pool` when given, else on a pool of
+/// options.threads workers (byte-identical at every thread count).
 DepGraph buildDepGraph(const trace::TraceView& trace,
-                       const DepGraphOptions& options = {});
+                       const DepGraphOptions& options = {},
+                       util::ThreadPool* pool = nullptr);
 
 /// One step of the critical path, in forward time order.
 struct CriticalPathStep {
@@ -303,10 +302,9 @@ struct DepAnalysisOptions {
   SyncClassifier sync{};
   SerializationOptions serialization{};
   IdleWaveOptions idleWave{};
-  /// Execution only; results are identical for every value.
+  /// Execution only (as DepGraphOptions::threads); results are identical
+  /// for every value.
   std::size_t threads = 1;
-  std::size_t grainSizeRanks = 1;
-  util::ThreadPool* pool = nullptr;
 };
 
 /// The three analyses of one trace, plus the graph counters (the graph
@@ -319,12 +317,15 @@ struct DepAnalysis {
   std::size_t processCount = 0;
 };
 
-/// Build the graph and run all three analyses. Never throws on trace
-/// content; byte-identical results at every thread count.
+/// Build the graph (on `pool`, as buildDepGraph) and run all three
+/// analyses. Never throws on trace content; byte-identical results at
+/// every thread count.
 DepAnalysis analyzeDependencies(const trace::TraceView& trace,
-                                const DepAnalysisOptions& options = {});
+                                const DepAnalysisOptions& options = {},
+                                util::ThreadPool* pool = nullptr);
 DepAnalysis analyzeDependencies(trace::Trace&&,
-                                const DepAnalysisOptions& = {}) = delete;
+                                const DepAnalysisOptions& = {},
+                                util::ThreadPool* = nullptr) = delete;
 
 /// Human-readable dependency report (the `trace_tool critpath` text
 /// output). Deterministic byte-for-byte function of the analysis.

@@ -2,38 +2,43 @@
 
 #include <sstream>
 
-#include "analysis/parallel.hpp"
 #include "trace/filter.hpp"
 #include "util/error.hpp"
 
 namespace perfvar::analysis {
 
-AnalysisResult analyzeTrace(const trace::TraceView& tr,
-                            const PipelineOptions& options) {
+namespace {
+
+/// The one pipeline body; `reference` swaps in the oracle kernels of
+/// detail::analyzeTraceReference.
+AnalysisResult runPipeline(const trace::TraceView& tr,
+                           const PipelineOptions& options,
+                           util::ThreadPool* external, bool reference) {
   if (!tr.quarantined().empty()) {
     // Degraded input (a Salvage-mode load): analyze the healthy ranks as
     // if the quarantined ones were never recorded. The sub-view shares
     // ownership of the filtered storage, so it rides along in the result.
     trace::TraceView view = tr.dropQuarantined();
-    AnalysisResult result = analyzeTrace(view, options);
+    AnalysisResult result = runPipeline(view, options, external, reference);
     result.salvagedView = view;
     return result;
   }
-  if (options.threads != 1) {
-    return detail::analyzeTraceSharded(tr, options);
-  }
+  const util::PoolScope scope(external, options.threads);
+  util::ThreadPool* pool = scope.get();
+  const std::size_t ranks = tr.processCount();
+
   AnalysisResult result;
-  if (options.referenceKernels) {
-    std::vector<std::vector<profile::FunctionStats>> perProcess(
-        tr.processCount());
-    for (std::size_t p = 0; p < tr.processCount(); ++p) {
-      perProcess[p] = profile::FlatProfile::buildProcessReference(
-          tr, static_cast<trace::ProcessId>(p));
-    }
-    result.profile =
-        profile::FlatProfile::fromPerProcess(tr, std::move(perProcess));
+  if (reference) {
+    std::vector<std::vector<profile::FunctionStats>> rows(ranks);
+    util::parallelChunks(pool, ranks, 1, [&](std::size_t b, std::size_t e) {
+      for (std::size_t p = b; p < e; ++p) {
+        rows[p] = profile::FlatProfile::buildProcessReference(
+            tr, static_cast<trace::ProcessId>(p));
+      }
+    });
+    result.profile = profile::FlatProfile::fromPerProcess(tr, std::move(rows));
   } else {
-    result.profile = profile::FlatProfile::build(tr);
+    result.profile = profile::FlatProfile::build(tr, pool);
   }
   result.selection = selectDominantFunction(tr, result.profile,
                                             options.dominant);
@@ -44,30 +49,48 @@ AnalysisResult analyzeTrace(const trace::TraceView& tr,
                   "candidateIndex exceeds the number of dominant candidates");
   result.segmentFunction =
       result.selection.candidates[options.candidateIndex].function;
-  if (options.referenceKernels) {
+  if (reference) {
     const std::vector<bool> syncMask = options.sync.mask(tr);
-    std::vector<std::vector<SegmentAnalysis>> perProcess(tr.processCount());
-    for (std::size_t p = 0; p < tr.processCount(); ++p) {
-      perProcess[p] = detail::analyzeSosProcessReference(
-          tr, static_cast<trace::ProcessId>(p), result.segmentFunction,
-          syncMask);
-    }
-    result.sos = std::make_unique<SosResult>(
-        SosResult(tr, result.segmentFunction, std::move(perProcess)));
+    std::vector<std::vector<SegmentAnalysis>> rows(ranks);
+    util::parallelChunks(pool, ranks, 1, [&](std::size_t b, std::size_t e) {
+      for (std::size_t p = b; p < e; ++p) {
+        rows[p] = detail::analyzeSosProcessReference(
+            tr, static_cast<trace::ProcessId>(p), result.segmentFunction,
+            syncMask);
+      }
+    });
+    result.sos = std::make_unique<SosResult>(tr, result.segmentFunction,
+                                             std::move(rows));
+    result.variation = detail::analyzeVariationReference(
+        *result.sos, options.variation, pool);
   } else {
     result.sos = std::make_unique<SosResult>(
-        analyzeSos(tr, result.segmentFunction, options.sync));
+        analyzeSos(tr, result.segmentFunction, options.sync, pool));
+    result.variation = analyzeVariation(*result.sos, options.variation, pool);
   }
-  result.variation = detail::analyzeVariationImpl(
-      *result.sos, options.variation,
-      [](std::size_t n, const std::function<void(std::size_t)>& body) {
-        for (std::size_t i = 0; i < n; ++i) {
-          body(i);
-        }
-      },
-      options.referenceKernels);
+  if (options.poolStats != nullptr && pool != nullptr) {
+    *options.poolStats = pool->stats();
+  }
   return result;
 }
+
+}  // namespace
+
+AnalysisResult analyzeTrace(const trace::TraceView& tr,
+                            const PipelineOptions& options,
+                            util::ThreadPool* pool) {
+  return runPipeline(tr, options, pool, false);
+}
+
+namespace detail {
+
+AnalysisResult analyzeTraceReference(const trace::TraceView& tr,
+                                     const PipelineOptions& options,
+                                     util::ThreadPool* pool) {
+  return runPipeline(tr, options, pool, true);
+}
+
+}  // namespace detail
 
 std::string formatDegradation(const trace::TraceView& tr) {
   if (tr.quarantined().empty()) {

@@ -33,30 +33,16 @@ struct PipelineOptions {
   /// Which candidate of the dominant ranking to segment by: 0 = the
   /// time-dominant function, k > 0 = increasingly finer segmentation.
   std::size_t candidateIndex = 0;
-  /// Worker threads of the rank-sharded stages: 1 (the default) runs every
-  /// stage inline on the calling thread; 0 = hardware concurrency; any
-  /// other value spawns that many pool workers. The result is bit-identical
-  /// regardless of this value (see parallel.hpp for the determinism
-  /// argument).
+  /// Worker threads of the rank-sharded stages when analyzeTrace() is not
+  /// given a pool: 1 (the default) runs every stage inline on the calling
+  /// thread; 0 = hardware concurrency; any other value spawns that many
+  /// pool workers for the call. The result is bit-identical regardless of
+  /// this value: every stage writes disjoint per-rank slots and reduces
+  /// across ranks in rank order on the calling thread.
   std::size_t threads = 1;
-  /// Ranks per pool task when threads != 1. Larger grains amortize task
-  /// overhead on traces with many cheap ranks; has no effect on the result.
-  std::size_t grainSizeRanks = 1;
-  /// Work stealing between worker shards of the rank-sharded stages
-  /// (threads != 1). Off = static contiguous partition, the pre-stealing
-  /// baseline where a tail of expensive ranks serializes on its shard
-  /// owner. Purely a scheduling knob: results are bit-identical either way.
-  bool stealing = true;
-  /// Run the pre-optimization reference kernels (std::function replay
-  /// visitors, per-element leave-one-out rebuilds) instead of the tuned
-  /// ones. Results are bit-identical by contract (the differential matrix
-  /// in tests/throughput_test.cpp enforces it); this exists as the oracle
-  /// side of that matrix and as perfbench's recorded-in-the-same-run
-  /// baseline.
-  bool referenceKernels = false;
-  /// When non-null and threads != 1, receives the per-worker scheduler
-  /// counters of the run's pool (chunks run/stolen, idle wakeups) — the
-  /// tail-rank idling visibility behind `trace_tool --verbose`.
+  /// When non-null and the run has a pool, receives the per-worker
+  /// scheduler counters of that pool (chunks run/stolen, idle wakeups) —
+  /// the tail-rank idling visibility behind `trace_tool --verbose`.
   util::ThreadPoolStats* poolStats = nullptr;
 };
 
@@ -76,9 +62,10 @@ struct AnalysisResult {
 /// Run the full pipeline; throws perfvar::Error if no function qualifies
 /// as time-dominant (or candidateIndex is out of range).
 ///
-/// With options.threads == 1 every stage runs inline; any other value
-/// routes through the rank-sharded parallel engine (parallel.hpp) with
-/// bit-identical output. This is the one analysis entry point.
+/// Every per-rank stage runs on `pool` when given, else on a pool of
+/// options.threads workers owned by the call, else (threads == 1) inline;
+/// the output is bit-identical in all three cases. This is the one
+/// analysis entry point.
 ///
 /// Graceful degradation: a trace carrying quarantined ranks (a Salvage-
 /// mode load) is analyzed as if those ranks were never present — the
@@ -92,9 +79,22 @@ struct AnalysisResult {
 /// ownership with the result. The rvalue overload is deleted so passing a
 /// temporary trace is a compile error instead of a dangling pointer.
 AnalysisResult analyzeTrace(const trace::TraceView& trace,
-                            const PipelineOptions& options = {});
-AnalysisResult analyzeTrace(trace::Trace&&,
-                            const PipelineOptions& = {}) = delete;
+                            const PipelineOptions& options = {},
+                            util::ThreadPool* pool = nullptr);
+AnalysisResult analyzeTrace(trace::Trace&&, const PipelineOptions& = {},
+                            util::ThreadPool* = nullptr) = delete;
+
+namespace detail {
+
+/// analyzeTrace() on the pre-optimization reference kernels
+/// (std::function replay visitors, per-element leave-one-out rebuilds).
+/// Bit-identical to analyzeTrace by contract; the differential oracle of
+/// tests/throughput_test.cpp and perfbench's baseline.
+AnalysisResult analyzeTraceReference(const trace::TraceView& trace,
+                                     const PipelineOptions& options = {},
+                                     util::ThreadPool* pool = nullptr);
+
+}  // namespace detail
 
 /// Render a complete text report (dominant selection + variation report;
 /// plus a degraded-input section when `trace` carries quarantined ranks —

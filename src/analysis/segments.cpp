@@ -4,15 +4,16 @@
 
 #include "trace/replay.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 
 namespace perfvar::analysis {
 
-namespace detail {
+namespace {
 
+/// Segments of a single process (row `p` of extractSegments).
 std::vector<Segment> extractSegmentsProcess(const trace::TraceView& tr,
                                             trace::ProcessId p,
                                             trace::FunctionId f) {
-  PERFVAR_REQUIRE(p < tr.processCount(), "invalid process id");
   std::vector<Segment> result;
   std::size_t nesting = 0;      // current nesting inside f
   trace::Timestamp start = 0;   // enter time of the outermost invocation
@@ -44,16 +45,20 @@ std::vector<Segment> extractSegmentsProcess(const trace::TraceView& tr,
   return result;
 }
 
-}  // namespace detail
+}  // namespace
 
-std::vector<std::vector<Segment>> extractSegments(const trace::TraceView& tr,
-                                                  trace::FunctionId f) {
+std::vector<std::vector<Segment>> extractSegments(
+    const trace::TraceView& tr, trace::FunctionId f, util::ThreadPool* pool) {
   PERFVAR_REQUIRE(f < tr.functions().size(),
                   "segmentation function is not defined in this trace");
   std::vector<std::vector<Segment>> result(tr.processCount());
-  for (trace::ProcessId p = 0; p < tr.processCount(); ++p) {
-    result[p] = detail::extractSegmentsProcess(tr, p, f);
-  }
+  util::parallelChunks(pool, tr.processCount(), 1,
+                       [&](std::size_t begin, std::size_t end) {
+                         for (std::size_t p = begin; p < end; ++p) {
+                           result[p] = extractSegmentsProcess(
+                               tr, static_cast<trace::ProcessId>(p), f);
+                         }
+                       });
   return result;
 }
 

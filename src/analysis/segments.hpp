@@ -13,6 +13,10 @@
 #include "trace/trace.hpp"
 #include "trace/view.hpp"
 
+namespace perfvar::util {
+class ThreadPool;
+}
+
 namespace perfvar::analysis {
 
 /// One segment of one process timeline.
@@ -29,9 +33,11 @@ struct Segment {
 /// Extract the segments of every process for segmentation function `f`.
 /// Nested (recursive) invocations of `f` are not split into sub-segments;
 /// only the outermost invocation forms a segment. Result is indexed by
-/// process; processes that never invoke `f` get an empty vector.
-std::vector<std::vector<Segment>> extractSegments(const trace::TraceView& trace,
-                                                  trace::FunctionId f);
+/// process; processes that never invoke `f` get an empty vector. Ranks are
+/// sharded over `pool` (null = inline); the result is identical either way.
+std::vector<std::vector<Segment>> extractSegments(
+    const trace::TraceView& trace, trace::FunctionId f,
+    util::ThreadPool* pool = nullptr);
 
 /// Summary of the segmentation shape.
 struct SegmentationInfo {
@@ -43,17 +49,6 @@ struct SegmentationInfo {
 
 SegmentationInfo describeSegmentation(
     const std::vector<std::vector<Segment>>& segments);
-
-namespace detail {
-
-/// Segments of a single process (row `p` of extractSegments). Both the
-/// serial extractor and the rank-sharded parallel one call this, so their
-/// results are identical by construction.
-std::vector<Segment> extractSegmentsProcess(const trace::TraceView& trace,
-                                            trace::ProcessId p,
-                                            trace::FunctionId f);
-
-}  // namespace detail
 
 }  // namespace perfvar::analysis
 

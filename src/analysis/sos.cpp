@@ -7,6 +7,7 @@
 #include "trace/replay.hpp"
 #include "util/error.hpp"
 #include "util/perf_counters.hpp"
+#include "util/thread_pool.hpp"
 
 namespace perfvar::analysis {
 
@@ -320,13 +321,6 @@ std::vector<SegmentAnalysis> analyzeSosProcess(
   return segments;
 }
 
-std::vector<SegmentAnalysis> analyzeSosProcess(
-    const trace::TraceView& tr, trace::ProcessId p,
-    trace::FunctionId segmentFunction, const std::vector<bool>& syncMask) {
-  SosScratch scratch;
-  return analyzeSosProcess(tr, p, segmentFunction, syncMask, scratch);
-}
-
 std::vector<SegmentAnalysis> analyzeSosProcessReference(
     const trace::TraceView& tr, trace::ProcessId p,
     trace::FunctionId segmentFunction, const std::vector<bool>& syncMask) {
@@ -429,14 +423,23 @@ std::vector<SegmentAnalysis> analyzeSosProcessReference(
 
 SosResult analyzeSos(const trace::TraceView& tr,
                      trace::FunctionId segmentFunction,
-                     const SyncClassifier& classifier) {
+                     const SyncClassifier& classifier,
+                     util::ThreadPool* pool) {
   PERFVAR_REQUIRE(segmentFunction < tr.functions().size(),
                   "segmentation function is not defined in this trace");
   const std::vector<bool> syncMask = classifier.mask(tr);
   std::vector<std::vector<SegmentAnalysis>> perProcess(tr.processCount());
-  for (trace::ProcessId p = 0; p < tr.processCount(); ++p) {
-    perProcess[p] = detail::analyzeSosProcess(tr, p, segmentFunction, syncMask);
-  }
+  util::parallelChunks(
+      pool, tr.processCount(), 1, [&](std::size_t begin, std::size_t end) {
+        // One scratch per chunk: the metric-state buffers are sized by the
+        // (fixed) metric count, so later ranks reuse the allocation.
+        detail::SosScratch scratch;
+        for (std::size_t p = begin; p < end; ++p) {
+          perProcess[p] = detail::analyzeSosProcess(
+              tr, static_cast<trace::ProcessId>(p), segmentFunction,
+              syncMask, scratch);
+        }
+      });
   return SosResult(tr, segmentFunction, std::move(perProcess));
 }
 

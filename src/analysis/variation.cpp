@@ -6,6 +6,7 @@
 
 #include "util/error.hpp"
 #include "util/format.hpp"
+#include "util/thread_pool.hpp"
 
 namespace perfvar::analysis {
 
@@ -14,23 +15,24 @@ trace::ProcessId VariationReport::slowestProcess() const {
   return processesBySos.front();
 }
 
-VariationReport analyzeVariation(const SosResult& sos,
-                                 const VariationOptions& options) {
-  return detail::analyzeVariationImpl(
-      sos, options,
-      [](std::size_t n, const std::function<void(std::size_t)>& body) {
-        for (std::size_t i = 0; i < n; ++i) {
-          body(i);
-        }
-      });
+namespace {
+
+/// Run body(i) for every i in [0, n), sharded over `pool` (null = inline).
+/// Bodies write disjoint slots, so the result does not depend on the pool.
+template <typename Body>
+void forEachIndex(util::ThreadPool* pool, std::size_t n, const Body& body) {
+  util::parallelChunks(pool, n, 1, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      body(i);
+    }
+  });
 }
 
-namespace detail {
-
-VariationReport analyzeVariationImpl(const SosResult& sos,
-                                     const VariationOptions& options,
-                                     const IndexRunner& run,
-                                     bool referenceKernels) {
+/// The one variation-analysis implementation; `referenceKernels` selects
+/// the oracle's referenceZ loops (see detail::analyzeVariationReference).
+VariationReport variationImpl(const SosResult& sos,
+                              const VariationOptions& options,
+                              util::ThreadPool* pool, bool referenceKernels) {
   VariationReport report;
   const auto& perProcess = sos.all();
   const std::size_t nProcs = perProcess.size();
@@ -55,9 +57,9 @@ VariationReport analyzeVariationImpl(const SosResult& sos,
 
   // ---- per-iteration stats ------------------------------------------------
   // Every index writes only its own slot; the inner sums always walk the
-  // processes in ascending order, so the result is runner-independent.
+  // processes in ascending order, so the result is pool-independent.
   report.iterations.resize(nIters);
-  run(nIters, [&](std::size_t i) {
+  forEachIndex(pool, nIters, [&](std::size_t i) {
     std::vector<double> iterSos;
     IterationStats is;
     is.iteration = i;
@@ -102,7 +104,7 @@ VariationReport analyzeVariationImpl(const SosResult& sos,
   // ---- per-process stats ----------------------------------------------------
   report.processes.resize(nProcs);
   std::vector<double> totals(nProcs, 0.0);
-  run(nProcs, [&](std::size_t p) {
+  forEachIndex(pool, nProcs, [&](std::size_t p) {
     ProcessStats ps;
     ps.process = static_cast<trace::ProcessId>(p);
     ps.segments = perProcess[p].size();
@@ -123,7 +125,7 @@ VariationReport analyzeVariationImpl(const SosResult& sos,
   // replaced (kept below as the reference path) is O(P^2 log P) and was
   // the analyze wall at 10k+ ranks.
   if (referenceKernels) {
-    run(nProcs, [&](std::size_t p) {
+    forEachIndex(pool, nProcs, [&](std::size_t p) {
       std::vector<double> others;
       others.reserve(nProcs > 0 ? nProcs - 1 : 0);
       for (std::size_t q = 0; q < nProcs; ++q) {
@@ -135,8 +137,9 @@ VariationReport analyzeVariationImpl(const SosResult& sos,
     });
   } else {
     const std::vector<double> totalZ = stats::leaveOneOutZ(totals);
-    run(nProcs,
-        [&](std::size_t p) { report.processes[p].totalZ = totalZ[p]; });
+    for (std::size_t p = 0; p < nProcs; ++p) {
+      report.processes[p].totalZ = totalZ[p];
+    }
   }
 
   report.processesBySos.resize(nProcs);
@@ -157,9 +160,9 @@ VariationReport analyzeVariationImpl(const SosResult& sos,
   // ---- hotspots --------------------------------------------------------------
   // Collected per iteration into disjoint slots, then concatenated in
   // iteration order; the final sort key (globalZ, process, iteration) is a
-  // total order, so the ranking is independent of the runner.
+  // total order, so the ranking is independent of the pool.
   std::vector<std::vector<Hotspot>> perIterHotspots(nIters);
-  run(nIters, [&](std::size_t i) {
+  forEachIndex(pool, nIters, [&](std::size_t i) {
     std::vector<double> iterSos;
     std::vector<double> iterOthers;
     for (std::size_t p = 0; p < nProcs; ++p) {
@@ -225,6 +228,22 @@ VariationReport analyzeVariationImpl(const SosResult& sos,
   }
   report.hotspots = std::move(hotspots);
   return report;
+}
+
+}  // namespace
+
+VariationReport analyzeVariation(const SosResult& sos,
+                                 const VariationOptions& options,
+                                 util::ThreadPool* pool) {
+  return variationImpl(sos, options, pool, false);
+}
+
+namespace detail {
+
+VariationReport analyzeVariationReference(const SosResult& sos,
+                                          const VariationOptions& options,
+                                          util::ThreadPool* pool) {
+  return variationImpl(sos, options, pool, true);
 }
 
 }  // namespace detail

@@ -9,7 +9,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "analysis/parallel.hpp"
 #include "trace/binary_io.hpp"
 #include "trace/filter.hpp"
 #include "util/error.hpp"
@@ -61,8 +60,8 @@ std::uint64_t fingerprintVariation(std::uint64_t sosKey,
 }
 
 std::uint64_t fingerprintDep(const analysis::DepAnalysisOptions& o) {
-  // Execution fields (threads/grainSizeRanks/pool) are deliberately
-  // excluded: graph construction is byte-identical at every thread count.
+  // The execution field (threads) is deliberately excluded: graph
+  // construction is byte-identical at every thread count.
   return util::Hasher{}
       .u64(kTagDep)
       .u64(o.sync.cacheToken())
@@ -178,6 +177,13 @@ struct AnalysisEngine::Impl {
   /// query wait on (and steal exceptions of) another's tasks.
   std::unique_ptr<util::ThreadPool> pool;
   std::mutex poolMutex;
+
+  /// Exclusive use of `pool` for one stage call; a no-op without a pool,
+  /// so inline engines answer concurrent queries without serializing.
+  std::unique_lock<std::mutex> lockPool() {
+    return pool ? std::unique_lock<std::mutex>(poolMutex)
+                : std::unique_lock<std::mutex>();
+  }
 
   template <typename Map>
   void evictLruFrom(Map& map, typename Map::iterator victim) {
@@ -325,14 +331,9 @@ std::shared_ptr<const profile::FlatProfile> AnalysisEngine::profile() {
   }
   impl_->misses.fetch_add(1, std::memory_order_relaxed);
   auto computed = [&] {
-    if (!impl_->pool) {
-      return std::make_shared<const profile::FlatProfile>(
-          profile::FlatProfile::build(analysisView_));
-    }
-    std::lock_guard<std::mutex> poolLock(impl_->poolMutex);
+    const auto poolLock = impl_->lockPool();
     return std::make_shared<const profile::FlatProfile>(
-        analysis::buildProfileParallel(analysisView_, *impl_->pool,
-                                       options_.grainSizeRanks));
+        profile::FlatProfile::build(analysisView_, impl_->pool.get()));
   }();
   std::lock_guard<std::mutex> lock(impl_->cacheMutex);
   if (!impl_->profile) {
@@ -356,16 +357,11 @@ std::shared_ptr<const lint::LintReport> AnalysisEngine::lintReport() {
   // rule exists precisely to surface the ranks the analyses drop.
   auto computed = [&] {
     lint::LintOptions lintOptions;
-    lintOptions.grainSizeRanks = options_.grainSizeRanks;
     lintOptions.disabledRules = options_.lintDisabledRules;
-    if (!impl_->pool) {
-      return std::make_shared<const lint::LintReport>(
-          lint::lintTrace(view_, lintOptions));
-    }
-    std::lock_guard<std::mutex> poolLock(impl_->poolMutex);
-    lintOptions.pool = impl_->pool.get();
+    const auto poolLock = impl_->lockPool();
     return std::make_shared<const lint::LintReport>(
-        lint::lintTrace(view_, lintOptions));
+        lint::lintTrace(view_, lintOptions, lint::RuleRegistry::builtin(),
+                        impl_->pool.get()));
   }();
   std::lock_guard<std::mutex> lock(impl_->cacheMutex);
   if (!impl_->lint) {
@@ -391,16 +387,12 @@ std::shared_ptr<const analysis::DepAnalysis> AnalysisEngine::depAnalysis(
     const analysis::DepAnalysisOptions& options) {
   return impl_->getOrCompute(
       impl_->dep, fingerprintDep(options), options_.maxCacheEntries, [&] {
+        // The engine's pool (null = inline) is the only executor.
         analysis::DepAnalysisOptions effective = options;
-        effective.threads = options_.threads;
-        effective.grainSizeRanks = options_.grainSizeRanks;
-        effective.pool = nullptr;
-        if (!impl_->pool) {
-          return analysis::analyzeDependencies(analysisView_, effective);
-        }
-        std::lock_guard<std::mutex> poolLock(impl_->poolMutex);
-        effective.pool = impl_->pool.get();
-        return analysis::analyzeDependencies(analysisView_, effective);
+        effective.threads = 1;
+        const auto poolLock = impl_->lockPool();
+        return analysis::analyzeDependencies(analysisView_, effective,
+                                             impl_->pool.get());
       });
 }
 
@@ -444,28 +436,17 @@ EngineResult AnalysisEngine::analyze(const analysis::PipelineOptions& options) {
       fingerprintSos(result.segmentFunction, options.sync);
   result.sos = impl_->getOrCompute(
       impl_->sos, sosKey, options_.maxCacheEntries, [&] {
-        if (!impl_->pool) {
-          return analysis::analyzeSos(analysisView_, result.segmentFunction,
-                                      options.sync);
-        }
-        std::lock_guard<std::mutex> poolLock(impl_->poolMutex);
-        return analysis::analyzeSosParallel(analysisView_,
-                                            result.segmentFunction,
-                                            options.sync, *impl_->pool,
-                                            options_.grainSizeRanks);
+        const auto poolLock = impl_->lockPool();
+        return analysis::analyzeSos(analysisView_, result.segmentFunction,
+                                    options.sync, impl_->pool.get());
       });
 
   result.variation = impl_->getOrCompute(
       impl_->variation, fingerprintVariation(sosKey, options.variation),
       options_.maxCacheEntries, [&] {
-        if (!impl_->pool) {
-          return analysis::analyzeVariation(*result.sos, options.variation);
-        }
-        std::lock_guard<std::mutex> poolLock(impl_->poolMutex);
-        return analysis::analyzeVariationParallel(*result.sos,
-                                                  options.variation,
-                                                  *impl_->pool,
-                                                  options_.grainSizeRanks);
+        const auto poolLock = impl_->lockPool();
+        return analysis::analyzeVariation(*result.sos, options.variation,
+                                          impl_->pool.get());
       });
   return result;
 }

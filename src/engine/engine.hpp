@@ -25,20 +25,23 @@
 /// cached profile and dominant ranking; a re-export with unchanged options
 /// recomputes nothing.
 ///
-/// Execution options that do NOT change results (EngineOptions::threads,
-/// grainSizeRanks — see parallel.hpp's determinism guarantee) are
-/// deliberately excluded from every fingerprint, so results computed
-/// serially and in parallel share cache entries. By the same guarantee,
-/// every cached result is bit-identical to a fresh analyzeTrace() run.
+/// The execution option (EngineOptions::threads) does NOT change results
+/// — every stage function is bit-identical for every pool, including
+/// none — so it is deliberately excluded from every fingerprint, and
+/// results computed serially and in parallel share cache entries. By the
+/// same guarantee, every cached result is bit-identical to a fresh
+/// analyzeTrace() run.
 ///
 /// Thread safety: all public member functions may be called concurrently.
 /// Cache lookups and inserts synchronize on an internal mutex held only
 /// for map operations; stage computation runs outside the lock (two
 /// threads racing on the same missing key may both compute it; the first
-/// insert wins and both observe the same instance afterwards). Heavy
-/// stages dispatch onto an engine-owned util::ThreadPool (serialized by a
-/// second mutex — the pool's wait() semantics do not allow interleaved
-/// batches) and reuse the rank-sharded helpers from analysis/parallel.hpp.
+/// insert wins and both observe the same instance afterwards). Each stage
+/// is one call of its library function with the engine's
+/// util::ThreadPool, which exists only when threads != 1. A second mutex
+/// serializes the stage calls that use that pool (its wait() semantics do
+/// not allow interleaved batches); without a pool stages run inline on
+/// the querying thread and concurrent queries do not serialize.
 ///
 /// Capacity: derived-stage entries (dominant/SOS/variation) are evicted
 /// least-recently-used once their count exceeds EngineOptions
@@ -72,8 +75,6 @@ struct EngineOptions {
   /// the querying thread, 0 = hardware concurrency, else that many pool
   /// workers. Does not affect results (and is not part of cache keys).
   std::size_t threads = 1;
-  /// Ranks per pool task when threads != 1. No effect on results.
-  std::size_t grainSizeRanks = 1;
   /// Maximum number of cached derived-stage results (dominant + SOS +
   /// variation entries together; the profile is exempt). 0 = unlimited.
   std::size_t maxCacheEntries = 64;
@@ -87,7 +88,7 @@ struct EngineOptions {
   /// Severity at (or above) which lintOnLoad rejects the trace.
   lint::Severity lintGateSeverity = lint::Severity::Error;
   /// Rule suppression applied to the lint-on-load run (and the cached
-  /// report). Execution options (threads/pool) are taken from the engine.
+  /// report). Execution (the worker pool) is taken from the engine.
   std::vector<std::string> lintDisabledRules;
 };
 
@@ -175,8 +176,8 @@ public:
   /// like the other derived stages: the fingerprint covers the classifier
   /// token and the detector thresholds, never the execution options, so a
   /// warm re-query at any thread count is a cache hit returning the same
-  /// byte-identical instance. Threads/grainSizeRanks/pool in `options`
-  /// are ignored; execution is governed by EngineOptions.
+  /// byte-identical instance. `options.threads` is ignored; execution is
+  /// governed by EngineOptions.
   std::shared_ptr<const analysis::DepAnalysis> depAnalysis(
       const analysis::DepAnalysisOptions& options = {});
 
@@ -190,7 +191,7 @@ public:
   /// Full pipeline query: every stage is served from cache when its
   /// options fingerprint matches a previous query. Throws perfvar::Error
   /// exactly like analyzeTrace() (no dominant candidate, candidateIndex
-  /// out of range). PipelineOptions::threads / grainSizeRanks are ignored:
+  /// out of range). PipelineOptions::threads / poolStats are ignored:
   /// execution is governed by EngineOptions.
   EngineResult analyze(const analysis::PipelineOptions& options = {});
 

@@ -86,8 +86,8 @@ void Rule::checkProcess(const RuleContext&, trace::ProcessId, Sink&) const {}
 void Rule::checkTrace(const RuleContext&, Sink&) const {}
 
 RuleContext::RuleContext(const trace::TraceView& trace,
-                         const LintOptions& options)
-    : view_(trace), options_(options) {}
+                         const LintOptions& options, util::ThreadPool* pool)
+    : view_(trace), options_(options), pool_(pool) {}
 
 RuleContext::~RuleContext() = default;
 
@@ -147,8 +147,8 @@ const profile::FlatProfile* RuleContext::profileOrNull() const {
     const trace::TraceView* tr = analysisTrace();
     if (tr != nullptr && refsAreDefined(*tr)) {
       try {
-        profile_ =
-            std::make_unique<profile::FlatProfile>(profile::FlatProfile::build(*tr));
+        profile_ = std::make_unique<profile::FlatProfile>(
+            profile::FlatProfile::build(*tr, pool_));
       } catch (const std::exception&) {
         profile_.reset();  // malformed streams; structural rules report them
       }
@@ -187,11 +187,9 @@ const analysis::DepAnalysis* RuleContext::depAnalysisOrNull() const {
       // Runs in the serial global phase; the per-rank pool (if any) is
       // idle there, so graph construction may reuse it. Thread count
       // never changes the result (see depgraph.hpp).
-      dopts.pool = options_.pool;
-      dopts.threads = options_.threads;
       try {
         depAnalysis_ = std::make_unique<analysis::DepAnalysis>(
-            analysis::analyzeDependencies(*tr, dopts));
+            analysis::analyzeDependencies(*tr, dopts, pool_));
       } catch (const std::exception&) {
         depAnalysis_.reset();
       }
@@ -260,7 +258,7 @@ void sortRankFindings(std::vector<Finding>& findings,
 }  // namespace
 
 LintReport lintTrace(const trace::TraceView& trace, const LintOptions& options,
-                     const RuleRegistry& registry) {
+                     const RuleRegistry& registry, util::ThreadPool* pool) {
   LintReport report;
   report.processCount = trace.processCount();
 
@@ -294,7 +292,8 @@ LintReport lintTrace(const trace::TraceView& trace, const LintOptions& options,
     }
   }
 
-  RuleContext context(trace, options);
+  const util::PoolScope scope(pool, options.threads);
+  RuleContext context(trace, options, scope.get());
   const std::size_t processCount = trace.processCount();
 
   // Registry position of each enabled rule, for deterministic tie-breaks.
@@ -327,15 +326,7 @@ LintReport lintTrace(const trace::TraceView& trace, const LintOptions& options,
     sortRankFindings(out, ruleOrder, findingRule);
   };
 
-  util::ThreadPool* pool = options.pool;
-  std::unique_ptr<util::ThreadPool> owned;
-  if (pool == nullptr && options.threads != 1) {
-    owned = std::make_unique<util::ThreadPool>(
-        util::ThreadPool::resolveThreadCount(options.threads));
-    pool = owned.get();
-  }
-  util::parallelChunks(pool, processCount,
-                       std::max<std::size_t>(1, options.grainSizeRanks),
+  util::parallelChunks(scope.get(), processCount, 1,
                        [&](std::size_t begin, std::size_t end) {
                          for (std::size_t p = begin; p < end; ++p) {
                            checkRank(p);

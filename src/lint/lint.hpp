@@ -14,14 +14,14 @@
 /// every finding as a LintReport.
 ///
 /// Rules come in two flavors. Per-rank checks (Rule::checkProcess) run
-/// over each process stream and are sharded across a util::ThreadPool
-/// when LintOptions::threads != 1; whole-trace checks (Rule::checkTrace)
-/// run serially on the calling thread afterwards. Findings are merged
-/// deterministically — per-rank findings in ascending rank order, each
-/// rank's findings sorted by event index (ties in registry order), global
-/// findings appended in registry order — so the report is byte-identical
-/// for every thread count (the same discipline as analyzeTrace, see
-/// analysis/parallel.hpp).
+/// over each process stream and are sharded across the util::ThreadPool
+/// passed to lintTrace() (or one of LintOptions::threads workers);
+/// whole-trace checks (Rule::checkTrace) run serially on the calling
+/// thread afterwards. Findings are merged deterministically — per-rank
+/// findings in ascending rank order, each rank's findings sorted by event
+/// index (ties in registry order), global findings appended in registry
+/// order — so the report is byte-identical for every thread count (the
+/// same discipline as analysis::analyzeTrace).
 ///
 /// Robustness contract: lintTrace() never throws on hostile trace
 /// content. Every rule invocation is guarded; a rule that throws is
@@ -78,14 +78,11 @@ struct Finding {
 
 /// Options of lintTrace().
 struct LintOptions {
-  /// Worker threads of the per-rank rule phase: 1 (default) runs inline,
-  /// 0 = hardware concurrency. The report is byte-identical for every
-  /// value (see the determinism note in the file comment).
+  /// Worker threads of the per-rank rule phase when lintTrace() is not
+  /// given a pool: 1 (default) runs inline, 0 = hardware concurrency. The
+  /// report is byte-identical for every value (see the determinism note in
+  /// the file comment).
   std::size_t threads = 1;
-  /// Ranks per pool task when threads != 1. No effect on the report.
-  std::size_t grainSizeRanks = 1;
-  /// Optional external pool; overrides `threads` when set.
-  util::ThreadPool* pool = nullptr;
 
   /// Per-rule-ID suppression: rules whose id appears here are skipped.
   std::vector<std::string> disabledRules;
@@ -192,7 +189,10 @@ public:
 /// profile, dominant ranking) are for the serial global phase only.
 class RuleContext {
 public:
-  RuleContext(const trace::TraceView& trace, const LintOptions& options);
+  /// `pool` (may be null = inline) is idle during the global phase; the
+  /// lazily-built stages run on it.
+  RuleContext(const trace::TraceView& trace, const LintOptions& options,
+              util::ThreadPool* pool = nullptr);
   ~RuleContext();
 
   RuleContext(const RuleContext&) = delete;
@@ -220,6 +220,7 @@ public:
 private:
   trace::TraceView view_;
   const LintOptions& options_;
+  util::ThreadPool* pool_;
   mutable bool analysisTraceComputed_ = false;
   mutable trace::TraceView filteredView_;
   mutable const trace::TraceView* analysisTrace_ = nullptr;
@@ -256,14 +257,18 @@ private:
   std::vector<std::shared_ptr<const Rule>> rules_;
 };
 
-/// Run every enabled rule of `registry` over `trace`. Never throws on
+/// Run every enabled rule of `registry` over `trace`. The per-rank phase
+/// (and the global phase's profile and dependency graph) runs on `pool`
+/// when given, else on a pool of options.threads workers. Never throws on
 /// trace *content*; throws perfvar::Error only for caller mistakes
 /// (unknown rule ids in onlyRules/disabledRules are reported as Info
 /// findings, not errors, so suppression lists stay forward-compatible).
 LintReport lintTrace(const trace::TraceView& trace, const LintOptions& options = {},
-                     const RuleRegistry& registry = RuleRegistry::builtin());
+                     const RuleRegistry& registry = RuleRegistry::builtin(),
+                     util::ThreadPool* pool = nullptr);
 LintReport lintTrace(trace::Trace&&, const LintOptions& = {},
-                     const RuleRegistry& = RuleRegistry::builtin()) = delete;
+                     const RuleRegistry& = RuleRegistry::builtin(),
+                     util::ThreadPool* = nullptr) = delete;
 
 /// Human-readable report: one line per finding plus a summary footer.
 /// Deterministic byte-for-byte function of the report.

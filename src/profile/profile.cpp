@@ -4,6 +4,7 @@
 
 #include "util/error.hpp"
 #include "util/format.hpp"
+#include "util/thread_pool.hpp"
 
 namespace perfvar::profile {
 
@@ -104,11 +105,16 @@ FlatProfile FlatProfile::fromPerProcess(
   return profile;
 }
 
-FlatProfile FlatProfile::build(const trace::TraceView& tr) {
+FlatProfile FlatProfile::build(const trace::TraceView& tr,
+                               util::ThreadPool* pool) {
   std::vector<std::vector<FunctionStats>> perProcess(tr.processCount());
-  for (trace::ProcessId p = 0; p < tr.processCount(); ++p) {
-    perProcess[p] = buildProcess(tr, p);
-  }
+  util::parallelChunks(pool, tr.processCount(), 1,
+                       [&](std::size_t begin, std::size_t end) {
+                         for (std::size_t p = begin; p < end; ++p) {
+                           perProcess[p] = buildProcess(
+                               tr, static_cast<trace::ProcessId>(p));
+                         }
+                       });
   return fromPerProcess(tr, std::move(perProcess));
 }
 

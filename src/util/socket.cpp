@@ -79,21 +79,11 @@ FileDescriptor acceptConnection(int listenFd) {
 
 FileDescriptor connectUnix(const std::string& path, std::size_t retries,
                            std::size_t retryIntervalMs) {
-  const sockaddr_un addr = unixAddress(path);
-  for (std::size_t attempt = 0;; ++attempt) {
-    FileDescriptor fd(::socket(AF_UNIX, SOCK_STREAM, 0));
-    if (!fd.valid()) {
-      throwIo("socket(AF_UNIX)", path);
-    }
-    if (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof(addr)) == 0) {
-      return fd;
-    }
-    if (attempt >= retries) {
-      throwIo("connect", path);
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(retryIntervalMs));
-  }
+  ConnectRetryPolicy fixedInterval;
+  fixedInterval.retries = retries;
+  fixedInterval.initialDelayMs = retryIntervalMs;
+  fixedInterval.maxDelayMs = retryIntervalMs;
+  return connectUnix(path, fixedInterval);
 }
 
 FileDescriptor connectUnix(const std::string& path,

@@ -74,7 +74,8 @@ FileDescriptor acceptConnection(int listenFd);
 /// `retryIntervalMs` until `retries` attempts are exhausted (covers the
 /// daemon-still-starting race in scripted sessions); 0 retries means one
 /// immediate attempt. Throws Error(IoFailure) when the socket never
-/// becomes connectable.
+/// becomes connectable. Same as the ConnectRetryPolicy overload below
+/// with initialDelayMs = maxDelayMs = retryIntervalMs.
 FileDescriptor connectUnix(const std::string& path, std::size_t retries = 0,
                            std::size_t retryIntervalMs = 100);
 

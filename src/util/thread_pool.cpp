@@ -314,4 +314,10 @@ void parallelChunks(ThreadPool* pool, std::size_t n,
   pool->runChunks(n, options, body);
 }
 
+PoolScope::PoolScope(ThreadPool* external, std::size_t threads)
+    : owned_(external == nullptr && threads != 1
+                 ? std::make_unique<ThreadPool>(threads)
+                 : nullptr),
+      pool_(external != nullptr ? external : owned_.get()) {}
+
 }  // namespace perfvar::util

@@ -154,6 +154,21 @@ void parallelChunks(ThreadPool* pool, std::size_t n,
                     const ChunkOptions& options,
                     const std::function<void(std::size_t, std::size_t)>& body);
 
+/// The pool an entry point with a `threads` option runs on: the caller's
+/// `external` pool when given; otherwise, for threads != 1, a pool of
+/// `threads` workers (0 = hardware concurrency) that lives as long as this
+/// object; otherwise none, so parallelChunks runs every chunk inline.
+class PoolScope {
+public:
+  PoolScope(ThreadPool* external, std::size_t threads);
+
+  ThreadPool* get() const { return pool_; }
+
+private:
+  std::unique_ptr<ThreadPool> owned_;
+  ThreadPool* pool_;
+};
+
 }  // namespace perfvar::util
 
 #endif  // PERFVAR_UTIL_THREAD_POOL_HPP

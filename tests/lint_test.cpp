@@ -349,10 +349,8 @@ TEST(LintDeterminism, ExternalPoolMatchesSerial) {
   const Trace tr = dirtyTrace(5);
   const LintReport reference = lintTrace(tr);
   util::ThreadPool pool(3);
-  LintOptions options;
-  options.pool = &pool;
-  options.grainSizeRanks = 2;
-  const LintReport report = lintTrace(tr, options);
+  const LintReport report =
+      lintTrace(tr, {}, RuleRegistry::builtin(), &pool);
   EXPECT_EQ(report.findings, reference.findings);
 }
 

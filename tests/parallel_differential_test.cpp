@@ -5,16 +5,20 @@
 /// that is field-for-field
 /// identical to the serial analyzeTrace() — same DominantSelection, same
 /// SOS vectors (including paradigm breakdown and metric deltas), same
-/// VariationReport. Exact double comparisons throughout: the guarantee is
-/// bit-identical, not approximately equal.
+/// VariationReport. Every stage function, called with a null pool
+/// (inline) or with pools of 1, 2 and 8 workers, must agree the same way.
+/// Exact double comparisons throughout: the guarantee is bit-identical,
+/// not approximately equal.
 
 #include <gtest/gtest.h>
 
 #include <thread>
 #include <vector>
 
-#include "analysis/parallel.hpp"
+#include "analysis/depgraph.hpp"
 #include "analysis/pipeline.hpp"
+#include "engine/engine.hpp"
+#include "lint/lint.hpp"
 #include "sim/program.hpp"
 #include "sim/simulator.hpp"
 #include "trace/builder.hpp"
@@ -318,52 +322,112 @@ TEST(ParallelDifferential, FullPipelineMatchesSerialAcrossMatrix) {
   }
 }
 
-TEST(ParallelDifferential, GrainSizeDoesNotChangeTheResult) {
-  const trace::Trace tr = buildSynthetic(8, 12, Shape::Imbalanced);
-  const analysis::AnalysisResult serial = analysis::analyzeTrace(tr);
-  for (const std::size_t grain : {std::size_t{1}, std::size_t{3},
-                                  std::size_t{8}, std::size_t{100}}) {
-    SCOPED_TRACE("grain=" + std::to_string(grain));
-    analysis::PipelineOptions opts;
-    opts.threads = 4;
-    opts.grainSizeRanks = grain;
-    const analysis::AnalysisResult par = analysis::analyzeTrace(tr, opts);
-    expectSosEqual(*serial.sos, *par.sos);
-    expectVariationEqual(serial.variation, par.variation);
+void expectSegmentsEqual(const std::vector<std::vector<analysis::Segment>>& a,
+                         const std::vector<std::vector<analysis::Segment>>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t p = 0; p < a.size(); ++p) {
+    ASSERT_EQ(a[p].size(), b[p].size());
+    for (std::size_t i = 0; i < a[p].size(); ++i) {
+      EXPECT_EQ(a[p][i].enter, b[p][i].enter);
+      EXPECT_EQ(a[p][i].leave, b[p][i].leave);
+      EXPECT_EQ(a[p][i].index, b[p][i].index);
+      EXPECT_EQ(a[p][i].process, b[p][i].process);
+    }
   }
 }
 
+void expectDepGraphEqual(const analysis::DepGraph& a,
+                         const analysis::DepGraph& b) {
+  EXPECT_EQ(a.stats, b.stats);
+  EXPECT_EQ(a.rankNodes, b.rankNodes);
+  ASSERT_EQ(a.nodes.size(), b.nodes.size());
+  for (std::size_t n = 0; n < a.nodes.size(); ++n) {
+    const analysis::DepNode& x = a.nodes[n];
+    const analysis::DepNode& y = b.nodes[n];
+    EXPECT_EQ(x.time, y.time);
+    EXPECT_EQ(x.waitStart, y.waitStart);
+    EXPECT_EQ(x.match, y.match);
+    EXPECT_EQ(x.prev, y.prev);
+    EXPECT_EQ(x.eventIndex, y.eventIndex);
+    EXPECT_EQ(x.attrBegin, y.attrBegin);
+    EXPECT_EQ(x.attrCount, y.attrCount);
+    EXPECT_EQ(x.process, y.process);
+    EXPECT_EQ(x.peer, y.peer);
+    EXPECT_EQ(x.tag, y.tag);
+    EXPECT_EQ(x.kind, y.kind);
+    EXPECT_EQ(x.function, y.function);
+  }
+  ASSERT_EQ(a.attribution.size(), b.attribution.size());
+  for (std::size_t i = 0; i < a.attribution.size(); ++i) {
+    EXPECT_EQ(a.attribution[i].function, b.attribution[i].function);
+    EXPECT_EQ(a.attribution[i].ticks, b.attribution[i].ticks);
+  }
+}
+
+/// Every stage function has one entry point taking an optional pool:
+/// null runs inline, any pool shards the ranks. The result must not
+/// depend on which, nor on the pool's size.
 TEST(ParallelDifferential, StageEntryPointsMatchSerial) {
   const trace::Trace tr = buildSimulated();
-  util::ThreadPool pool(4);
   const auto selection = analysis::selectDominantFunction(tr);
   ASSERT_TRUE(selection.hasDominant());
   const auto f = selection.dominant().function;
 
-  const auto segSerial = analysis::extractSegments(tr, f);
-  const auto segPar = analysis::extractSegmentsParallel(tr, f, pool, 2);
-  ASSERT_EQ(segSerial.size(), segPar.size());
-  for (std::size_t p = 0; p < segSerial.size(); ++p) {
-    ASSERT_EQ(segSerial[p].size(), segPar[p].size());
-    for (std::size_t i = 0; i < segSerial[p].size(); ++i) {
-      EXPECT_EQ(segSerial[p][i].enter, segPar[p][i].enter);
-      EXPECT_EQ(segSerial[p][i].leave, segPar[p][i].leave);
-      EXPECT_EQ(segSerial[p][i].index, segPar[p][i].index);
-      EXPECT_EQ(segSerial[p][i].process, segPar[p][i].process);
-    }
+  const auto profileInline = profile::FlatProfile::build(tr, nullptr);
+  const auto segInline = analysis::extractSegments(tr, f, nullptr);
+  const auto sosInline =
+      analysis::analyzeSos(tr, f, analysis::SyncClassifier{}, nullptr);
+  const auto variationInline =
+      analysis::analyzeVariation(sosInline, {}, nullptr);
+  const auto graphInline = analysis::buildDepGraph(tr, {}, nullptr);
+  const std::string depInline = analysis::exportDepAnalysisString(
+      tr, analysis::analyzeDependencies(tr, {}, nullptr),
+      analysis::ExportFormat::Json);
+  const std::string lintInline = lint::exportLintReportString(
+      lint::lintTrace(tr, {}, lint::RuleRegistry::builtin(), nullptr),
+      analysis::ExportFormat::Json);
+  EXPECT_GT(graphInline.stats.matchedPairs, 0u);
+
+  for (const std::size_t workers :
+       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    util::ThreadPool pool(workers);
+    expectProfileEqual(profileInline, profile::FlatProfile::build(tr, &pool),
+                       tr);
+    expectSegmentsEqual(segInline, analysis::extractSegments(tr, f, &pool));
+    const auto sos =
+        analysis::analyzeSos(tr, f, analysis::SyncClassifier{}, &pool);
+    expectSosEqual(sosInline, sos);
+    expectVariationEqual(variationInline,
+                         analysis::analyzeVariation(sos, {}, &pool));
+    expectDepGraphEqual(graphInline, analysis::buildDepGraph(tr, {}, &pool));
+    EXPECT_EQ(depInline,
+              analysis::exportDepAnalysisString(
+                  tr, analysis::analyzeDependencies(tr, {}, &pool),
+                  analysis::ExportFormat::Json));
+    EXPECT_EQ(lintInline,
+              lint::exportLintReportString(
+                  lint::lintTrace(tr, {}, lint::RuleRegistry::builtin(),
+                                  &pool),
+                  analysis::ExportFormat::Json));
   }
 
-  const auto sosSerial = analysis::analyzeSos(tr, f);
-  const auto sosPar =
-      analysis::analyzeSosParallel(tr, f, analysis::SyncClassifier{}, pool);
-  expectSosEqual(sosSerial, sosPar);
-
-  expectVariationEqual(
-      analysis::analyzeVariation(sosSerial),
-      analysis::analyzeVariationParallel(sosPar, {}, pool));
-
-  expectProfileEqual(profile::FlatProfile::build(tr),
-                     analysis::buildProfileParallel(tr, pool), tr);
+  // The engine runs the same stage functions on its own pool.
+  std::vector<std::string> lintReports;
+  std::vector<std::string> depReports;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    engine::EngineOptions options;
+    options.threads = threads;
+    engine::AnalysisEngine eng{trace::Trace(tr), options};
+    lintReports.push_back(lint::exportLintReportString(
+        *eng.lintReport(), analysis::ExportFormat::Json));
+    depReports.push_back(analysis::exportDepAnalysisString(
+        eng.trace(), *eng.depAnalysis(), analysis::ExportFormat::Json));
+  }
+  EXPECT_EQ(lintReports[0], lintInline);
+  EXPECT_EQ(lintReports[1], lintInline);
+  EXPECT_EQ(depReports[0], depInline);
+  EXPECT_EQ(depReports[1], depInline);
 }
 
 // ---- thread pool unit coverage -------------------------------------------

@@ -1,6 +1,6 @@
-/// Differential matrix of the throughput engineering pass: every
-/// scheduling configuration (thread count x stealing on/off) and both
-/// kernel generations (tuned vs reference) must produce byte-identical
+/// Differential matrix of the throughput engineering pass: every thread
+/// count and both kernel generations (tuned analyzeTrace vs
+/// detail::analyzeTraceReference) must produce byte-identical
 /// analysis output on skewed, uniform and empty-rank traces. Plus direct
 /// coverage of the work-stealing chunk scheduler itself: full coverage,
 /// deterministic chunk boundaries, exception propagation and the
@@ -14,7 +14,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "analysis/parallel.hpp"
 #include "analysis/pipeline.hpp"
 #include "analysis/sos.hpp"
 #include "apps/scale_synthetic.hpp"
@@ -71,50 +70,42 @@ std::vector<const trace::Trace*> traceMatrix() {
 TEST(ThroughputMatrix, AllSchedulesMatchSerialReferenceByteForByte) {
   for (const trace::Trace* tr : traceMatrix()) {
     // Oracle: serial run of the pre-optimization reference kernels.
-    analysis::PipelineOptions oracleOpts;
-    oracleOpts.referenceKernels = true;
     const analysis::AnalysisResult oracle =
-        analysis::analyzeTrace(*tr, oracleOpts);
+        analysis::detail::analyzeTraceReference(*tr);
     const std::string oracleText = analysis::formatAnalysis(*tr, oracle);
 
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                       std::size_t{8}}) {
-      for (const bool stealing : {false, true}) {
-        for (const bool reference : {false, true}) {
-          analysis::PipelineOptions opts;
-          opts.threads = threads;
-          opts.stealing = stealing;
-          opts.referenceKernels = reference;
-          const analysis::AnalysisResult result =
-              analysis::analyzeTrace(*tr, opts);
-          EXPECT_EQ(analysis::formatAnalysis(*tr, result), oracleText)
-              << "threads=" << threads << " stealing=" << stealing
-              << " reference=" << reference;
+      for (const bool reference : {false, true}) {
+        analysis::PipelineOptions opts;
+        opts.threads = threads;
+        const analysis::AnalysisResult result =
+            reference ? analysis::detail::analyzeTraceReference(*tr, opts)
+                      : analysis::analyzeTrace(*tr, opts);
+        EXPECT_EQ(analysis::formatAnalysis(*tr, result), oracleText)
+            << "threads=" << threads << " reference=" << reference;
 
-          // The formatted report rounds; the numeric fields must match
-          // bit for bit as well.
-          ASSERT_EQ(result.variation.processes.size(),
-                    oracle.variation.processes.size());
-          for (std::size_t p = 0; p < oracle.variation.processes.size();
-               ++p) {
-            EXPECT_EQ(result.variation.processes[p].totalZ,
-                      oracle.variation.processes[p].totalZ);
-            EXPECT_EQ(result.variation.processes[p].totalSos,
-                      oracle.variation.processes[p].totalSos);
-          }
-          ASSERT_EQ(result.variation.hotspots.size(),
-                    oracle.variation.hotspots.size());
-          for (std::size_t h = 0; h < oracle.variation.hotspots.size();
-               ++h) {
-            EXPECT_EQ(result.variation.hotspots[h].globalZ,
-                      oracle.variation.hotspots[h].globalZ);
-            EXPECT_EQ(result.variation.hotspots[h].iterationZ,
-                      oracle.variation.hotspots[h].iterationZ);
-            EXPECT_EQ(result.variation.hotspots[h].process,
-                      oracle.variation.hotspots[h].process);
-            EXPECT_EQ(result.variation.hotspots[h].iteration,
-                      oracle.variation.hotspots[h].iteration);
-          }
+        // The formatted report rounds; the numeric fields must match
+        // bit for bit as well.
+        ASSERT_EQ(result.variation.processes.size(),
+                  oracle.variation.processes.size());
+        for (std::size_t p = 0; p < oracle.variation.processes.size(); ++p) {
+          EXPECT_EQ(result.variation.processes[p].totalZ,
+                    oracle.variation.processes[p].totalZ);
+          EXPECT_EQ(result.variation.processes[p].totalSos,
+                    oracle.variation.processes[p].totalSos);
+        }
+        ASSERT_EQ(result.variation.hotspots.size(),
+                  oracle.variation.hotspots.size());
+        for (std::size_t h = 0; h < oracle.variation.hotspots.size(); ++h) {
+          EXPECT_EQ(result.variation.hotspots[h].globalZ,
+                    oracle.variation.hotspots[h].globalZ);
+          EXPECT_EQ(result.variation.hotspots[h].iterationZ,
+                    oracle.variation.hotspots[h].iterationZ);
+          EXPECT_EQ(result.variation.hotspots[h].process,
+                    oracle.variation.hotspots[h].process);
+          EXPECT_EQ(result.variation.hotspots[h].iteration,
+                    oracle.variation.hotspots[h].iteration);
         }
       }
     }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <unistd.h>
 #include <fstream>
@@ -561,9 +562,14 @@ TEST(ToolCli, ServeAndConnectExpectExactlyOneSocket) {
 }
 
 TEST(ToolCli, ConnectToAMissingSocketIsARuntimeError) {
+  // The default retry schedule is bounded: a missing daemon is an error
+  // within seconds, not a minute-long hang.
+  const auto start = std::chrono::steady_clock::now();
   const RunResult r = run(tool() + " connect definitely_missing.sock"
                           " </dev/null 2>/dev/null");
+  const auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_EQ(r.exitCode, 1);
+  EXPECT_LT(elapsed, std::chrono::seconds(15));
 }
 
 /// The CI smoke scenario as a test: daemon in the background, a scripted

@@ -40,7 +40,7 @@ TEST(ToolOptions, DefaultsMatchDocumentedContract) {
   EXPECT_FALSE(options.journalFsync);
   EXPECT_EQ(options.reorderWindowBytes, 0u);
   EXPECT_EQ(options.sendTimeoutMs, 5000u);
-  EXPECT_EQ(options.retry, 50u);
+  EXPECT_EQ(options.retry, 8u);
   EXPECT_EQ(options.retryDelayMs, 100u);
   EXPECT_EQ(options.positional,
             (std::vector<std::string>{"analyze", "in.pvt"}));
