@@ -2,63 +2,26 @@
 
 #include <algorithm>
 
-#include "trace/replay.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
 namespace perfvar::analysis {
-
-namespace {
-
-/// Segments of a single process (row `p` of extractSegments).
-std::vector<Segment> extractSegmentsProcess(const trace::TraceView& tr,
-                                            trace::ProcessId p,
-                                            trace::FunctionId f) {
-  std::vector<Segment> result;
-  std::size_t nesting = 0;      // current nesting inside f
-  trace::Timestamp start = 0;   // enter time of the outermost invocation
-  trace::ReplayVisitor v;
-  v.onEnter = [&](trace::FunctionId fn, trace::Timestamp t, std::size_t) {
-    if (fn == f) {
-      if (nesting == 0) {
-        start = t;
-      }
-      ++nesting;
-    }
-  };
-  v.onLeave = [&](const trace::Frame& frame) {
-    if (frame.function == f) {
-      PERFVAR_ASSERT(nesting > 0, "segment nesting underflow");
-      --nesting;
-      if (nesting == 0) {
-        Segment s;
-        s.process = p;
-        s.index = static_cast<std::uint32_t>(result.size());
-        s.enter = start;
-        s.leave = frame.leaveTime;
-        result.push_back(s);
-      }
-    }
-  };
-  const trace::RankPin pin = tr.rank(p);
-  trace::replayEvents(pin.events(), v);
-  return result;
-}
-
-}  // namespace
 
 std::vector<std::vector<Segment>> extractSegments(
     const trace::TraceView& tr, trace::FunctionId f, util::ThreadPool* pool) {
   PERFVAR_REQUIRE(f < tr.functions().size(),
                   "segmentation function is not defined in this trace");
   std::vector<std::vector<Segment>> result(tr.processCount());
-  util::parallelChunks(pool, tr.processCount(), 1,
-                       [&](std::size_t begin, std::size_t end) {
-                         for (std::size_t p = begin; p < end; ++p) {
-                           result[p] = extractSegmentsProcess(
-                               tr, static_cast<trace::ProcessId>(p), f);
-                         }
-                       });
+  util::parallelChunks(
+      pool, tr.processCount(), 1, [&](std::size_t begin, std::size_t end) {
+        detail::SegmentBoundary boundary(f);
+        for (std::size_t p = begin; p < end; ++p) {
+          const auto rank = static_cast<trace::ProcessId>(p);
+          boundary.reset(rank);
+          const trace::RankPin pin = tr.rank(rank);
+          detail::replayKernel(pin.events(), boundary, result[p]);
+        }
+      });
   return result;
 }
 

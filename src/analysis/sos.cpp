@@ -131,16 +131,19 @@ std::vector<double> SosResult::syncFractionPerIteration() const {
 
 namespace {
 
+/// Mean of `value(segment)` over the processes that have iteration i,
+/// scaled to seconds by `scale` ticks per second.
+template <typename Value>
 std::vector<double> perIterationMean(
     const std::vector<std::vector<SegmentAnalysis>>& perProcess, std::size_t n,
-    double scale, trace::Timestamp SegmentAnalysis::* field) {
+    double scale, Value value) {
   std::vector<double> out(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     double sum = 0.0;
     std::size_t count = 0;
     for (const auto& per : perProcess) {
       if (i < per.size()) {
-        sum += static_cast<double>(per[i].*field);
+        sum += static_cast<double>(value(per[i]));
         ++count;
       }
     }
@@ -152,27 +155,16 @@ std::vector<double> perIterationMean(
 }  // namespace
 
 std::vector<double> SosResult::meanDurationPerIteration() const {
-  const std::size_t n = maxSegmentsPerProcess();
-  std::vector<double> out(n, 0.0);
-  const double res = static_cast<double>(view_.resolution());
-  for (std::size_t i = 0; i < n; ++i) {
-    double sum = 0.0;
-    std::size_t count = 0;
-    for (const auto& per : perProcess_) {
-      if (i < per.size()) {
-        sum += static_cast<double>(per[i].segment.inclusive());
-        ++count;
-      }
-    }
-    out[i] = count > 0 ? sum / (res * static_cast<double>(count)) : 0.0;
-  }
-  return out;
+  return perIterationMean(
+      perProcess_, maxSegmentsPerProcess(),
+      static_cast<double>(view_.resolution()),
+      [](const SegmentAnalysis& a) { return a.segment.inclusive(); });
 }
 
 std::vector<double> SosResult::meanSosPerIteration() const {
   return perIterationMean(perProcess_, maxSegmentsPerProcess(),
                           static_cast<double>(view_.resolution()),
-                          &SegmentAnalysis::sosTime);
+                          [](const SegmentAnalysis& a) { return a.sosTime; });
 }
 
 std::vector<double> SosResult::totalSosPerProcess() const {
@@ -200,123 +192,41 @@ std::vector<double> SosResult::totalMetricPerProcess(trace::MetricId m) const {
   return out;
 }
 
-namespace {
-
-/// Statically-typed replay visitor of the SOS hot loop: the same
-/// per-process state machine as the reference implementation below, but
-/// with every callback a plain member function so the replay walk inlines
-/// it (no std::function dispatch per event).
-struct SosProcessVisitor {
-  const trace::TraceView& tr;
-  trace::ProcessId p;
-  trace::FunctionId segmentFunction;
-  const std::vector<bool>& syncMask;
-  std::size_t nMetrics;
-  std::vector<SegmentAnalysis>& segments;
-  detail::SosScratch& scratch;
-
-  std::size_t segNesting = 0;     // nesting inside the segment function
-  trace::Timestamp segStart = 0;  // enter of the outermost invocation
-  SegmentAnalysis current{};      // accumulators of the open segment
-  std::size_t syncNesting = 0;    // nesting inside sync functions
-  trace::Timestamp syncStart = 0;
-  std::array<std::size_t, kParadigmCount> paradigmNesting{};
-  std::array<trace::Timestamp, kParadigmCount> paradigmStart{};
-
-  void onEnter(trace::FunctionId fn, trace::Timestamp t, std::size_t) {
-    if (fn == segmentFunction) {
-      if (segNesting == 0) {
-        current = SegmentAnalysis{};
-        current.metricDelta.assign(nMetrics, 0.0);
-        segStart = t;
-      }
-      ++segNesting;
-    }
-    if (segNesting > 0) {
-      const auto& def = tr.functions().at(fn);
-      const auto par = static_cast<std::size_t>(def.paradigm);
-      if (paradigmNesting[par]++ == 0) {
-        paradigmStart[par] = t;
-      }
-      if (syncMask[fn]) {
-        if (syncNesting++ == 0) {
-          syncStart = t;
-        }
-      }
-    }
-  }
-
-  void onLeave(const trace::Frame& frame) {
-    if (segNesting > 0) {
-      const auto& def = tr.functions().at(frame.function);
-      const auto par = static_cast<std::size_t>(def.paradigm);
-      PERFVAR_ASSERT(paradigmNesting[par] > 0, "paradigm nesting underflow");
-      if (--paradigmNesting[par] == 0) {
-        current.paradigmTime[par] += frame.leaveTime - paradigmStart[par];
-      }
-      if (syncMask[frame.function]) {
-        PERFVAR_ASSERT(syncNesting > 0, "sync nesting underflow");
-        if (--syncNesting == 0) {
-          current.syncTime += frame.leaveTime - syncStart;
-        }
-      }
-    }
-    if (frame.function == segmentFunction) {
-      PERFVAR_ASSERT(segNesting > 0, "segment nesting underflow");
-      if (--segNesting == 0) {
-        current.segment.process = p;
-        current.segment.index = static_cast<std::uint32_t>(segments.size());
-        current.segment.enter = segStart;
-        current.segment.leave = frame.leaveTime;
-        const trace::Timestamp duration = current.segment.inclusive();
-        PERFVAR_ASSERT(current.syncTime <= duration,
-                       "sync time exceeds segment duration");
-        current.sosTime = duration - current.syncTime;
-        segments.push_back(std::move(current));
-        current = SegmentAnalysis{};
-      }
-    }
-  }
-
-  void onMessage(bool, const trace::Event&) {}
-
-  void onMetric(const trace::Event& e, std::size_t) {
-    const trace::MetricId m = e.ref;
-    const bool accumulated =
-        tr.metrics().at(m).mode == trace::MetricMode::Accumulated;
-    if (segNesting > 0 && !current.metricDelta.empty()) {
-      if (accumulated) {
-        const double base = scratch.seenMetric[m] ? scratch.lastMetric[m] : 0.0;
-        current.metricDelta[m] += e.value - base;
-      } else {
-        current.metricDelta[m] = e.value;
-      }
-    }
-    scratch.lastMetric[m] = e.value;
-    scratch.seenMetric[m] = true;
-  }
-};
-
-}  // namespace
-
 namespace detail {
 
-std::vector<SegmentAnalysis> analyzeSosProcess(
-    const trace::TraceView& tr, trace::ProcessId p,
-    trace::FunctionId segmentFunction, const std::vector<bool>& syncMask,
-    SosScratch& scratch) {
+SosKernel::SosKernel(const trace::FunctionRegistry& functions,
+                     const trace::MetricRegistry& metrics,
+                     trace::FunctionId segmentFunction,
+                     const std::vector<bool>& syncMask)
+    : functions_(&functions),
+      metrics_(&metrics),
+      syncMask_(&syncMask),
+      segment_(segmentFunction) {
+  reset(0);
+}
+
+void SosKernel::reset(trace::ProcessId p) {
+  segment_.reset(p);
+  current_ = SegmentAnalysis{};
+  syncNesting_ = 0;
+  syncStart_ = 0;
+  paradigmNesting_.fill(0);
+  paradigmStart_.fill(0);
+  lastMetric_.assign(metrics_->size(), 0.0);
+  seenMetric_.assign(metrics_->size(), false);
+}
+
+std::vector<SegmentAnalysis> analyzeSosProcess(const trace::TraceView& tr,
+                                               trace::ProcessId p,
+                                               SosKernel& kernel) {
   PERFVAR_REQUIRE(p < tr.processCount(), "invalid process id");
-  const std::size_t nMetrics = tr.metrics().size();
-  scratch.lastMetric.assign(nMetrics, 0.0);
-  scratch.seenMetric.assign(nMetrics, false);
+  kernel.reset(p);
   std::vector<SegmentAnalysis> segments;
   const trace::RankPin pin = tr.rank(p);
   // A segment costs at least an enter/leave pair; clamp the guess so a
   // pathological rank cannot reserve unbounded memory up front.
   segments.reserve(std::min<std::size_t>(pin.events().size() / 2, 4096));
-  SosProcessVisitor visitor{tr,       p,       segmentFunction, syncMask,
-                            nMetrics, segments, scratch};
-  trace::replayEventsWith(pin.events(), visitor);
+  replayKernel(pin.events(), kernel, segments);
   PERFVAR_COUNTER_ADD("sos.segments", segments.size());
   return segments;
 }
@@ -431,13 +341,13 @@ SosResult analyzeSos(const trace::TraceView& tr,
   std::vector<std::vector<SegmentAnalysis>> perProcess(tr.processCount());
   util::parallelChunks(
       pool, tr.processCount(), 1, [&](std::size_t begin, std::size_t end) {
-        // One scratch per chunk: the metric-state buffers are sized by the
+        // One kernel per chunk: its metric-state buffers are sized by the
         // (fixed) metric count, so later ranks reuse the allocation.
-        detail::SosScratch scratch;
+        detail::SosKernel kernel(tr.functions(), tr.metrics(),
+                                 segmentFunction, syncMask);
         for (std::size_t p = begin; p < end; ++p) {
           perProcess[p] = detail::analyzeSosProcess(
-              tr, static_cast<trace::ProcessId>(p), segmentFunction,
-              syncMask, scratch);
+              tr, static_cast<trace::ProcessId>(p), kernel);
         }
       });
   return SosResult(tr, segmentFunction, std::move(perProcess));

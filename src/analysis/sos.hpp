@@ -20,6 +20,7 @@
 /// accumulated metric — both used by the case-study reproductions.
 
 #include <array>
+#include <optional>
 #include <vector>
 
 #include "analysis/segments.hpp"
@@ -155,27 +156,121 @@ SosResult analyzeSosWindows(trace::Trace&&, trace::Timestamp,
 
 namespace detail {
 
-/// Reusable per-call buffers of analyzeSosProcess. A worker analyzing many
-/// ranks passes the same scratch to every call so the metric-state vectors
-/// are allocated once per worker instead of once per rank.
-struct SosScratch {
-  std::vector<double> lastMetric;
-  std::vector<bool> seenMetric;
+/// The per-rank SOS state machine, the one place SOS-time is accumulated:
+/// batch analyzeSos drives it through the inlined replay walk, StreamingSos
+/// feeds it event by event. It tracks the outermost invocation of the
+/// segmentation function (SegmentBoundary), the maximal synchronization and
+/// per-paradigm frames inside it, and the metric deltas. The caller
+/// delivers a balanced stream (replay and StreamingSos both reject
+/// unbalanced ones). The registries and the classifier mask are borrowed
+/// and must outlive the kernel.
+class SosKernel {
+public:
+  SosKernel(const trace::FunctionRegistry& functions,
+            const trace::MetricRegistry& metrics,
+            trace::FunctionId segmentFunction,
+            const std::vector<bool>& syncMask);
+
+  /// Start the stream of rank `p`: no open frames, segment index 0, no
+  /// metric sample seen. Keeps the buffers' allocations.
+  void reset(trace::ProcessId p);
+
+  void enter(trace::FunctionId fn, trace::Timestamp t);
+  /// The finished segment when this leave closes an outermost invocation.
+  std::optional<SegmentAnalysis> leave(trace::FunctionId fn,
+                                       trace::Timestamp t);
+  void metric(const trace::Event& e);
+
+private:
+  const trace::FunctionRegistry* functions_;
+  const trace::MetricRegistry* metrics_;
+  const std::vector<bool>* syncMask_;
+  SegmentBoundary segment_;
+  SegmentAnalysis current_;  // accumulators of the open segment
+  std::size_t syncNesting_ = 0;
+  trace::Timestamp syncStart_ = 0;
+  std::array<std::size_t, kParadigmCount> paradigmNesting_{};
+  std::array<trace::Timestamp, kParadigmCount> paradigmStart_{};
+  // Last observed value of every metric (for accumulated deltas).
+  std::vector<double> lastMetric_;
+  std::vector<bool> seenMetric_;
 };
 
-/// SOS analysis of a single process (row `p` of analyzeSos): segment the
-/// process timeline by `segmentFunction` and compute SOS-time, paradigm
-/// breakdown and metric deltas per segment. `syncMask` is the classifier's
-/// precomputed per-function decision vector; `scratch` is reused across
-/// the ranks of one chunk.
-std::vector<SegmentAnalysis> analyzeSosProcess(
-    const trace::TraceView& trace, trace::ProcessId p,
-    trace::FunctionId segmentFunction, const std::vector<bool>& syncMask,
-    SosScratch& scratch);
+// The per-event methods are defined here, not in sos.cpp, so that both
+// drivers inline them into their event loops: out of line they cost the
+// batch replay walk a call per event.
+inline void SosKernel::enter(trace::FunctionId fn, trace::Timestamp t) {
+  if (segment_.enter(fn, t)) {
+    current_ = SegmentAnalysis{};
+    current_.metricDelta.assign(metrics_->size(), 0.0);
+  }
+  if (segment_.inside()) {
+    const auto par = static_cast<std::size_t>(functions_->at(fn).paradigm);
+    if (paradigmNesting_[par]++ == 0) {
+      paradigmStart_[par] = t;
+    }
+    if ((*syncMask_)[fn] && syncNesting_++ == 0) {
+      syncStart_ = t;
+    }
+  }
+}
+
+inline std::optional<SegmentAnalysis> SosKernel::leave(trace::FunctionId fn,
+                                                       trace::Timestamp t) {
+  if (segment_.inside()) {
+    const auto par = static_cast<std::size_t>(functions_->at(fn).paradigm);
+    PERFVAR_ASSERT(paradigmNesting_[par] > 0, "paradigm nesting underflow");
+    if (--paradigmNesting_[par] == 0) {
+      current_.paradigmTime[par] += t - paradigmStart_[par];
+    }
+    if ((*syncMask_)[fn]) {
+      PERFVAR_ASSERT(syncNesting_ > 0, "sync nesting underflow");
+      if (--syncNesting_ == 0) {
+        current_.syncTime += t - syncStart_;
+      }
+    }
+  }
+  const std::optional<Segment> closed = segment_.leave(fn, t);
+  if (!closed) {
+    return std::nullopt;
+  }
+  SegmentAnalysis done = std::move(current_);
+  current_ = SegmentAnalysis{};
+  done.segment = *closed;
+  const trace::Timestamp duration = done.segment.inclusive();
+  PERFVAR_ASSERT(done.syncTime <= duration,
+                 "sync time exceeds segment duration");
+  done.sosTime = duration - done.syncTime;
+  return done;
+}
+
+inline void SosKernel::metric(const trace::Event& e) {
+  const trace::MetricId m = e.ref;
+  const bool accumulated =
+      metrics_->at(m).mode == trace::MetricMode::Accumulated;
+  if (segment_.inside() && !current_.metricDelta.empty()) {
+    if (accumulated) {
+      const double base = seenMetric_[m] ? lastMetric_[m] : 0.0;
+      current_.metricDelta[m] += e.value - base;
+    } else {
+      current_.metricDelta[m] = e.value;
+    }
+  }
+  lastMetric_[m] = e.value;
+  seenMetric_[m] = true;
+}
+
+/// SOS analysis of a single process (row `p` of analyzeSos): resets
+/// `kernel` to rank `p` and replays the rank through it. A worker passes
+/// the same kernel for every rank of its chunk, so the metric-state
+/// buffers are allocated once per worker instead of once per rank.
+std::vector<SegmentAnalysis> analyzeSosProcess(const trace::TraceView& trace,
+                                               trace::ProcessId p,
+                                               SosKernel& kernel);
 
 /// The original std::function-visitor implementation, retained as the
-/// differential oracle for the inlined replay kernel (run by
-/// detail::analyzeTraceReference). Must stay bit-identical to
+/// differential oracle for SosKernel (run by detail::analyzeTraceReference)
+/// and deliberately independent of it. Must stay bit-identical to
 /// analyzeSosProcess; tests/throughput_test.cpp enforces it.
 std::vector<SegmentAnalysis> analyzeSosProcessReference(
     const trace::TraceView& trace, trace::ProcessId p,

@@ -24,118 +24,57 @@ std::string formatStreamingAlert(const trace::Trace& trace,
 StreamingSos::StreamingSos(const trace::Trace& definitions,
                            trace::FunctionId segmentFunction,
                            const StreamingOptions& options)
-    : defs_(&definitions),
-      segmentFunction_(segmentFunction),
-      options_(options) {
+    : defs_(&definitions), options_(options) {
   PERFVAR_REQUIRE(segmentFunction < definitions.functions.size(),
                   "segmentation function is not defined");
   syncMask_ = options_.classifier.mask(definitions);
-  states_.resize(definitions.processCount());
-  for (auto& st : states_) {
-    st.lastMetric.assign(definitions.metrics.size(), 0.0);
-    st.seenMetric.assign(definitions.metrics.size(), false);
+  kernels_.reserve(definitions.processCount());
+  for (trace::ProcessId p = 0; p < definitions.processCount(); ++p) {
+    kernels_.emplace_back(definitions.functions, definitions.metrics,
+                          segmentFunction, syncMask_);
+    kernels_.back().reset(p);
   }
+  stacks_.resize(definitions.processCount());
 }
 
-void StreamingSos::completeSegment(trace::ProcessId p,
-                                   trace::Timestamp leaveTime) {
-  ProcessState& st = states_[p];
-  st.current.segment.process = p;
-  st.current.segment.index = st.segmentsDone++;
-  st.current.segment.enter = st.segStart;
-  st.current.segment.leave = leaveTime;
-  const trace::Timestamp duration = st.current.segment.inclusive();
-  PERFVAR_ASSERT(st.current.syncTime <= duration,
-                 "sync time exceeds segment duration");
-  st.current.sosTime = duration - st.current.syncTime;
+void StreamingSos::completeSegment(const SegmentAnalysis& segment) {
   ++completed_;
-
-  const double sosSeconds = defs_->toSeconds(st.current.sosTime);
+  const double sosSeconds = defs_->toSeconds(segment.sosTime);
   if (onAlert_ && sosHistory_.size() >= options_.warmupSegments) {
     const double z = stats::robustZ(sosSeconds, sosHistory_);
     if (z >= options_.alertThreshold) {
-      onAlert_(StreamingAlert{st.current, z});
+      onAlert_(StreamingAlert{segment, z});
     }
   }
   sosHistory_.push_back(sosSeconds);
 
   if (onSegment_) {
-    onSegment_(st.current);
+    onSegment_(segment);
   }
-  st.current = SegmentAnalysis{};
 }
 
 void StreamingSos::onEvent(trace::ProcessId p, const trace::Event& e) {
-  PERFVAR_REQUIRE(p < states_.size(), "invalid process id");
-  ProcessState& st = states_[p];
+  PERFVAR_REQUIRE(p < kernels_.size(), "invalid process id");
+  detail::SosKernel& kernel = kernels_[p];
+  std::vector<trace::FunctionId>& stack = stacks_[p];
   switch (e.kind) {
-    case trace::EventKind::Enter: {
-      const trace::FunctionId fn = e.ref;
-      PERFVAR_REQUIRE(fn < defs_->functions.size(), "undefined function");
-      if (fn == segmentFunction_) {
-        if (st.segNesting == 0) {
-          st.current = SegmentAnalysis{};
-          st.current.metricDelta.assign(defs_->metrics.size(), 0.0);
-          st.segStart = e.time;
-        }
-        ++st.segNesting;
-      }
-      if (st.segNesting > 0) {
-        const auto par = static_cast<std::size_t>(
-            defs_->functions.at(fn).paradigm);
-        if (st.paradigmNesting[par]++ == 0) {
-          st.paradigmStart[par] = e.time;
-        }
-        if (syncMask_[fn] && st.syncNesting++ == 0) {
-          st.syncStart = e.time;
-        }
-      }
-      st.stack.push_back(fn);
+    case trace::EventKind::Enter:
+      PERFVAR_REQUIRE(e.ref < defs_->functions.size(), "undefined function");
+      kernel.enter(e.ref, e.time);
+      stack.push_back(e.ref);
       break;
-    }
-    case trace::EventKind::Leave: {
-      PERFVAR_REQUIRE(!st.stack.empty() && st.stack.back() == e.ref,
+    case trace::EventKind::Leave:
+      PERFVAR_REQUIRE(!stack.empty() && stack.back() == e.ref,
                       "streaming: unbalanced enter/leave");
-      st.stack.pop_back();
-      const trace::FunctionId fn = e.ref;
-      if (st.segNesting > 0) {
-        const auto par = static_cast<std::size_t>(
-            defs_->functions.at(fn).paradigm);
-        PERFVAR_ASSERT(st.paradigmNesting[par] > 0,
-                       "paradigm nesting underflow");
-        if (--st.paradigmNesting[par] == 0) {
-          st.current.paradigmTime[par] += e.time - st.paradigmStart[par];
-        }
-        if (syncMask_[fn]) {
-          PERFVAR_ASSERT(st.syncNesting > 0, "sync nesting underflow");
-          if (--st.syncNesting == 0) {
-            st.current.syncTime += e.time - st.syncStart;
-          }
-        }
-      }
-      if (fn == segmentFunction_) {
-        PERFVAR_ASSERT(st.segNesting > 0, "segment nesting underflow");
-        if (--st.segNesting == 0) {
-          completeSegment(p, e.time);
-        }
+      stack.pop_back();
+      if (const auto done = kernel.leave(e.ref, e.time)) {
+        completeSegment(*done);
       }
       break;
-    }
-    case trace::EventKind::Metric: {
-      const trace::MetricId m = e.ref;
-      PERFVAR_REQUIRE(m < defs_->metrics.size(), "undefined metric");
-      if (st.segNesting > 0 && !st.current.metricDelta.empty()) {
-        if (defs_->metrics.at(m).mode == trace::MetricMode::Accumulated) {
-          const double base = st.seenMetric[m] ? st.lastMetric[m] : 0.0;
-          st.current.metricDelta[m] += e.value - base;
-        } else {
-          st.current.metricDelta[m] = e.value;
-        }
-      }
-      st.lastMetric[m] = e.value;
-      st.seenMetric[m] = true;
+    case trace::EventKind::Metric:
+      PERFVAR_REQUIRE(e.ref < defs_->metrics.size(), "undefined metric");
+      kernel.metric(e);
       break;
-    }
     case trace::EventKind::MpiSend:
     case trace::EventKind::MpiRecv:
       break;  // messages carry no SOS information beyond their frames
@@ -143,8 +82,8 @@ void StreamingSos::onEvent(trace::ProcessId p, const trace::Event& e) {
 }
 
 void StreamingSos::finish() {
-  for (trace::ProcessId p = 0; p < states_.size(); ++p) {
-    PERFVAR_REQUIRE(states_[p].stack.empty(),
+  for (trace::ProcessId p = 0; p < stacks_.size(); ++p) {
+    PERFVAR_REQUIRE(stacks_[p].empty(),
                     "streaming: process " + std::to_string(p) +
                         " has unclosed frames at finish");
   }

@@ -15,8 +15,9 @@
 /// application still runs.
 ///
 /// Equivalence: feeding a complete trace through StreamingSos yields
-/// exactly the per-segment results of the post-mortem analyzeSos()
-/// (verified by property tests).
+/// exactly the per-segment results of the post-mortem analyzeSos(). It
+/// holds by construction - both drive the same per-rank state machine,
+/// detail::SosKernel - and the streaming tests still check it.
 
 #include <functional>
 #include <vector>
@@ -62,6 +63,10 @@ public:
                trace::FunctionId segmentFunction,
                const StreamingOptions& options = {});
 
+  // The per-process kernels borrow this object's classifier mask.
+  StreamingSos(const StreamingSos&) = delete;
+  StreamingSos& operator=(const StreamingSos&) = delete;
+
   /// Feed the next event of process `p` (timestamps non-decreasing per
   /// process). Invokes `onSegment` for each completed segment and
   /// `onAlert` (optional) when the online monitor flags it.
@@ -95,27 +100,14 @@ public:
   static void replay(const trace::Trace& trace, StreamingSos& analyzer);
 
 private:
-  struct ProcessState {
-    std::vector<trace::FunctionId> stack;
-    std::size_t segNesting = 0;
-    trace::Timestamp segStart = 0;
-    SegmentAnalysis current;
-    std::size_t syncNesting = 0;
-    trace::Timestamp syncStart = 0;
-    std::array<std::size_t, kParadigmCount> paradigmNesting{};
-    std::array<trace::Timestamp, kParadigmCount> paradigmStart{};
-    std::vector<double> lastMetric;
-    std::vector<bool> seenMetric;
-    std::uint32_t segmentsDone = 0;
-  };
-
-  void completeSegment(trace::ProcessId p, trace::Timestamp leaveTime);
+  void completeSegment(const SegmentAnalysis& segment);
 
   const trace::Trace* defs_;
-  trace::FunctionId segmentFunction_;
   StreamingOptions options_;
   std::vector<bool> syncMask_;
-  std::vector<ProcessState> states_;
+  std::vector<detail::SosKernel> kernels_;  ///< one per process
+  /// Open frames per process, to reject unbalanced leaves as they arrive.
+  std::vector<std::vector<trace::FunctionId>> stacks_;
   SegmentCallback onSegment_;
   std::function<void(const StreamingAlert&)> onAlert_;
   std::vector<double> sosHistory_;  ///< seconds, for the online monitor

@@ -158,10 +158,10 @@ struct AnalysisEngine::Impl {
   std::uint64_t useClock = 0;
   std::uint64_t bytes = 0;
 
-  std::shared_ptr<const profile::FlatProfile> profile;
-  std::size_t profileBytes = 0;
-  std::shared_ptr<const lint::LintReport> lint;
-  std::size_t lintBytes = 0;
+  /// Whole-trace stages, one entry each (key 0). They are exempt from
+  /// LRU eviction: evictIfNeeded() scans only the derived maps below.
+  Map<profile::FlatProfile> profile;
+  Map<lint::LintReport> lint;
   Map<analysis::DominantSelection> dominant;
   Map<analysis::SosResult> sos;
   Map<analysis::VariationReport> variation;
@@ -232,10 +232,11 @@ struct AnalysisEngine::Impl {
     }
   }
 
-  /// The cache protocol of every derived stage: lookup under the lock,
-  /// compute outside it on a miss, insert (first writer wins — a racing
-  /// thread that lost simply adopts the winner's instance so all callers
-  /// observe one object per key).
+  /// The cache protocol of every stage: lookup under the lock, compute
+  /// outside it on a miss, insert (first writer wins — a racing thread
+  /// that lost simply adopts the winner's instance so all callers observe
+  /// one object per key). `maxEntries == 0` skips eviction, which is how
+  /// the whole-trace stages stay resident.
   template <typename T, typename Compute>
   std::shared_ptr<const T> getOrCompute(Map<T>& map, std::uint64_t key,
                                         std::size_t maxEntries,
@@ -322,54 +323,22 @@ AnalysisEngine AnalysisEngine::fromFileLazy(const std::string& path,
 }
 
 std::shared_ptr<const profile::FlatProfile> AnalysisEngine::profile() {
-  {
-    std::lock_guard<std::mutex> lock(impl_->cacheMutex);
-    if (impl_->profile) {
-      impl_->hits.fetch_add(1, std::memory_order_relaxed);
-      return impl_->profile;
-    }
-  }
-  impl_->misses.fetch_add(1, std::memory_order_relaxed);
-  auto computed = [&] {
+  return impl_->getOrCompute(impl_->profile, 0, 0, [&] {
     const auto poolLock = impl_->lockPool();
-    return std::make_shared<const profile::FlatProfile>(
-        profile::FlatProfile::build(analysisView_, impl_->pool.get()));
-  }();
-  std::lock_guard<std::mutex> lock(impl_->cacheMutex);
-  if (!impl_->profile) {
-    impl_->profile = computed;
-    impl_->profileBytes = approxBytes(*computed);
-    impl_->bytes += impl_->profileBytes;
-  }
-  return impl_->profile;
+    return profile::FlatProfile::build(analysisView_, impl_->pool.get());
+  });
 }
 
 std::shared_ptr<const lint::LintReport> AnalysisEngine::lintReport() {
-  {
-    std::lock_guard<std::mutex> lock(impl_->cacheMutex);
-    if (impl_->lint) {
-      impl_->hits.fetch_add(1, std::memory_order_relaxed);
-      return impl_->lint;
-    }
-  }
-  impl_->misses.fetch_add(1, std::memory_order_relaxed);
   // Lint the raw trace (not the filtered view): the quarantine-interaction
   // rule exists precisely to surface the ranks the analyses drop.
-  auto computed = [&] {
+  return impl_->getOrCompute(impl_->lint, 0, 0, [&] {
     lint::LintOptions lintOptions;
     lintOptions.disabledRules = options_.lintDisabledRules;
     const auto poolLock = impl_->lockPool();
-    return std::make_shared<const lint::LintReport>(
-        lint::lintTrace(view_, lintOptions, lint::RuleRegistry::builtin(),
-                        impl_->pool.get()));
-  }();
-  std::lock_guard<std::mutex> lock(impl_->cacheMutex);
-  if (!impl_->lint) {
-    impl_->lint = computed;
-    impl_->lintBytes = approxBytes(*computed);
-    impl_->bytes += impl_->lintBytes;
-  }
-  return impl_->lint;
+    return lint::lintTrace(view_, lintOptions, lint::RuleRegistry::builtin(),
+                           impl_->pool.get());
+  });
 }
 
 std::shared_ptr<const analysis::DominantSelection> AnalysisEngine::dominant(
@@ -477,10 +446,8 @@ CacheStats AnalysisEngine::cacheStats() const {
 
 void AnalysisEngine::clearCache() {
   std::lock_guard<std::mutex> lock(impl_->cacheMutex);
-  impl_->profile.reset();
-  impl_->profileBytes = 0;
-  impl_->lint.reset();
-  impl_->lintBytes = 0;
+  impl_->profile.clear();
+  impl_->lint.clear();
   impl_->dominant.clear();
   impl_->sos.clear();
   impl_->variation.clear();

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include "analysis/dominant.hpp"
 #include "analysis/streaming.hpp"
 #include "apps/cosmo_specs.hpp"
+#include "apps/desync_stencil.hpp"
 #include "apps/paper_examples.hpp"
+#include "apps/pipeline_chain.hpp"
+#include "apps/scale_synthetic.hpp"
 #include "sim/simulator.hpp"
 #include "trace/builder.hpp"
+#include "trace/filter.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -155,6 +160,96 @@ TEST_P(StreamingEquivalenceSweep, StreamEqualsBatch) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StreamingEquivalenceSweep,
                          ::testing::Values(7, 14, 21, 28, 35, 42));
+
+// ---- streaming == batch on the scenario generators -------------------------
+
+/// Everything a streaming run emits, in emission order.
+struct StreamRun {
+  std::vector<std::vector<SegmentAnalysis>> segments;
+  std::vector<StreamingAlert> alerts;
+  std::size_t completed = 0;
+};
+
+/// Drive `tr` through StreamingSos, either with replay() (chunks == 0) or
+/// by feed()ing the trace::splitByTime chunks in order, then finish().
+StreamRun streamRun(const trace::Trace& tr, trace::FunctionId f,
+                    std::size_t chunks) {
+  StreamingSos analyzer(tr, f);
+  StreamRun run;
+  run.segments.resize(tr.processCount());
+  analyzer.setSegmentCallback([&](const SegmentAnalysis& seg) {
+    run.segments[seg.segment.process].push_back(seg);
+  });
+  analyzer.setAlertCallback(
+      [&](const StreamingAlert& alert) { run.alerts.push_back(alert); });
+  if (chunks == 0) {
+    StreamingSos::replay(tr, analyzer);
+  } else {
+    for (const trace::Trace& chunk : trace::splitByTime(tr, chunks)) {
+      analyzer.feed(chunk);
+    }
+    analyzer.finish();
+  }
+  run.completed = analyzer.segmentsCompleted();
+  return run;
+}
+
+void expectSameAlerts(const std::vector<StreamingAlert>& a,
+                      const std::vector<StreamingAlert>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].segment.segment.process, b[i].segment.segment.process);
+    EXPECT_EQ(a[i].segment.segment.index, b[i].segment.segment.index);
+    EXPECT_EQ(a[i].segment.sosTime, b[i].segment.sosTime);
+    EXPECT_EQ(a[i].robustZ, b[i].robustZ);
+  }
+}
+
+/// Both drives equal batch analyzeSos and each other, alerts included.
+void expectStreamingMatchesBatch(const trace::Trace& tr) {
+  const auto selection = selectDominantFunction(tr);
+  ASSERT_TRUE(selection.hasDominant());
+  const trace::FunctionId f = selection.dominant().function;
+  const SosResult batch = analyzeSos(tr, f);
+  std::size_t batchSegments = 0;
+  for (const auto& per : batch.all()) {
+    batchSegments += per.size();
+  }
+  ASSERT_GT(batchSegments, 0u);
+
+  const StreamRun replayed = streamRun(tr, f, 0);
+  const StreamRun chunked = streamRun(tr, f, 7);
+  expectEqualResults(replayed.segments, batch);
+  expectEqualResults(chunked.segments, batch);
+  EXPECT_EQ(replayed.completed, batchSegments);
+  EXPECT_EQ(chunked.completed, batchSegments);
+  // Every scenario plants an imbalance, so the monitor has something to
+  // agree on.
+  EXPECT_FALSE(replayed.alerts.empty());
+  expectSameAlerts(replayed.alerts, chunked.alerts);
+}
+
+TEST(StreamingScenarios, ScaleTraceWithSkewedTailMatchesBatch) {
+  apps::ScaleConfig cfg;
+  cfg.ranks = 1000;
+  cfg.iterations = 6;
+  cfg.hiccupStartIteration = 3;
+  cfg.skewTailPerMille = 20;
+  cfg.skewEventsFactor = 64;
+  expectStreamingMatchesBatch(apps::buildScaleTrace(cfg));
+}
+
+TEST(StreamingScenarios, PipelineChainMatchesBatch) {
+  apps::PipelineConfig cfg;
+  cfg.jitterTicks = 20'000;
+  expectStreamingMatchesBatch(apps::buildPipelineTrace(cfg));
+}
+
+TEST(StreamingScenarios, DesyncStencilMatchesBatch) {
+  apps::StencilConfig cfg;
+  cfg.jitterTicks = 5'000;
+  expectStreamingMatchesBatch(apps::buildStencilTrace(cfg));
+}
 
 }  // namespace
 }  // namespace perfvar::analysis

@@ -140,11 +140,11 @@ TEST(ThroughputKernels, SosVisitorMatchesReference) {
     ASSERT_TRUE(selection.hasDominant());
     const trace::FunctionId fn = selection.dominant().function;
     const std::vector<bool> mask = analysis::SyncClassifier{}.mask(view);
-    analysis::detail::SosScratch scratch;
+    analysis::detail::SosKernel kernel(view.functions(), view.metrics(), fn,
+                                       mask);
     for (std::size_t p = 0; p < view.processCount(); ++p) {
       const auto rank = static_cast<trace::ProcessId>(p);
-      const auto fast =
-          analysis::detail::analyzeSosProcess(view, rank, fn, mask, scratch);
+      const auto fast = analysis::detail::analyzeSosProcess(view, rank, kernel);
       const auto ref =
           analysis::detail::analyzeSosProcessReference(view, rank, fn, mask);
       ASSERT_EQ(fast.size(), ref.size());
@@ -156,6 +156,28 @@ TEST(ThroughputKernels, SosVisitorMatchesReference) {
         EXPECT_EQ(fast[s].sosTime, ref[s].sosTime);
         EXPECT_EQ(fast[s].paradigmTime, ref[s].paradigmTime);
         EXPECT_EQ(fast[s].metricDelta, ref[s].metricDelta);
+      }
+    }
+  }
+}
+
+TEST(ThroughputKernels, ExtractSegmentsMatchesSosSegments) {
+  for (const trace::Trace* tr : traceMatrix()) {
+    const trace::TraceView view(*tr);
+    const auto selection = analysis::selectDominantFunction(view);
+    ASSERT_TRUE(selection.hasDominant());
+    const trace::FunctionId fn = selection.dominant().function;
+    const auto segments = analysis::extractSegments(view, fn);
+    const analysis::SosResult sos = analysis::analyzeSos(view, fn);
+    ASSERT_EQ(segments.size(), sos.processCount());
+    for (trace::ProcessId p = 0; p < sos.processCount(); ++p) {
+      const auto& analyzed = sos.process(p);
+      ASSERT_EQ(segments[p].size(), analyzed.size()) << "rank " << p;
+      for (std::size_t s = 0; s < analyzed.size(); ++s) {
+        EXPECT_EQ(segments[p][s].process, analyzed[s].segment.process);
+        EXPECT_EQ(segments[p][s].index, analyzed[s].segment.index);
+        EXPECT_EQ(segments[p][s].enter, analyzed[s].segment.enter);
+        EXPECT_EQ(segments[p][s].leave, analyzed[s].segment.leave);
       }
     }
   }
