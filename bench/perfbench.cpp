@@ -33,7 +33,6 @@
 #include "sim/simulator.hpp"
 #include "trace/binary_io.hpp"
 #include "util/json_writer.hpp"
-#include "util/perf_counters.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -141,7 +140,6 @@ int main(int argc, char** argv) {
             << scaleCfg.skewEventsFactor << ")\n";
 
   std::vector<StageResult> stages;
-  util::resetPerfCounters();
 
   // ---- stage 1: cold load --------------------------------------------------
   trace::Trace scale;
@@ -324,18 +322,6 @@ int main(int argc, char** argv) {
     j.key("idle_wakeups");
     j.value(poolStats.totalIdleWakeups());
     j.endObject();
-    // Empty unless built with -DPERFVAR_PERF_COUNTERS=ON.
-    j.key("perf_counters");
-    j.beginArray();
-    for (const util::PerfCounterValue& c : util::collectPerfCounters()) {
-      j.beginObject();
-      j.key("name");
-      j.value(c.name);
-      j.key("value");
-      j.value(c.value);
-      j.endObject();
-    }
-    j.endArray();
     j.key("global");
     j.beginObject();
     j.key("total_iters");

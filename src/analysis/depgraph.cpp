@@ -177,11 +177,11 @@ DepGraph buildDepGraph(const trace::TraceView& trace,
   const std::vector<bool> syncMask = options.sync.mask(trace);
 
   // Per-rank phase: every rank writes its own shard, so the result is
-  // independent of scheduling (parallelChunks' chunk boundaries depend
-  // only on n and grain, and shards merge in rank order below).
+  // independent of scheduling (parallelChunks runs one rank per chunk,
+  // and shards merge in rank order below).
   std::vector<RankShard> shards(graph.processCount);
   const util::PoolScope scope(pool, options.threads);
-  util::parallelChunks(scope.get(), graph.processCount, 1,
+  util::parallelChunks(scope.get(), graph.processCount,
                        [&](std::size_t begin, std::size_t end) {
                          for (std::size_t p = begin; p < end; ++p) {
                            shards[p] = extractRank(

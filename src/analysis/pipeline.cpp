@@ -30,7 +30,7 @@ AnalysisResult runPipeline(const trace::TraceView& tr,
   AnalysisResult result;
   if (reference) {
     std::vector<std::vector<profile::FunctionStats>> rows(ranks);
-    util::parallelChunks(pool, ranks, 1, [&](std::size_t b, std::size_t e) {
+    util::parallelChunks(pool, ranks, [&](std::size_t b, std::size_t e) {
       for (std::size_t p = b; p < e; ++p) {
         rows[p] = profile::FlatProfile::buildProcessReference(
             tr, static_cast<trace::ProcessId>(p));
@@ -52,7 +52,7 @@ AnalysisResult runPipeline(const trace::TraceView& tr,
   if (reference) {
     const std::vector<bool> syncMask = options.sync.mask(tr);
     std::vector<std::vector<SegmentAnalysis>> rows(ranks);
-    util::parallelChunks(pool, ranks, 1, [&](std::size_t b, std::size_t e) {
+    util::parallelChunks(pool, ranks, [&](std::size_t b, std::size_t e) {
       for (std::size_t p = b; p < e; ++p) {
         rows[p] = detail::analyzeSosProcessReference(
             tr, static_cast<trace::ProcessId>(p), result.segmentFunction,

@@ -13,7 +13,7 @@ std::vector<std::vector<Segment>> extractSegments(
                   "segmentation function is not defined in this trace");
   std::vector<std::vector<Segment>> result(tr.processCount());
   util::parallelChunks(
-      pool, tr.processCount(), 1, [&](std::size_t begin, std::size_t end) {
+      pool, tr.processCount(), [&](std::size_t begin, std::size_t end) {
         detail::SegmentBoundary boundary(f);
         for (std::size_t p = begin; p < end; ++p) {
           const auto rank = static_cast<trace::ProcessId>(p);

@@ -6,7 +6,6 @@
 
 #include "trace/replay.hpp"
 #include "util/error.hpp"
-#include "util/perf_counters.hpp"
 #include "util/thread_pool.hpp"
 
 namespace perfvar::analysis {
@@ -194,13 +193,24 @@ std::vector<double> SosResult::totalMetricPerProcess(trace::MetricId m) const {
 
 namespace detail {
 
-SosKernel::SosKernel(const trace::FunctionRegistry& functions,
+std::vector<std::uint8_t> sosFunctionTable(
+    const trace::FunctionRegistry& functions,
+    const std::vector<bool>& syncMask) {
+  std::vector<std::uint8_t> table(functions.size());
+  for (std::size_t f = 0; f < table.size(); ++f) {
+    table[f] = static_cast<std::uint8_t>(functions.all()[f].paradigm);
+    if (f < syncMask.size() && syncMask[f]) {
+      table[f] |= kSosSyncBit;
+    }
+  }
+  return table;
+}
+
+SosKernel::SosKernel(const std::vector<std::uint8_t>& functionTable,
                      const trace::MetricRegistry& metrics,
-                     trace::FunctionId segmentFunction,
-                     const std::vector<bool>& syncMask)
-    : functions_(&functions),
+                     trace::FunctionId segmentFunction)
+    : functions_(&functionTable),
       metrics_(&metrics),
-      syncMask_(&syncMask),
       segment_(segmentFunction) {
   reset(0);
 }
@@ -227,7 +237,6 @@ std::vector<SegmentAnalysis> analyzeSosProcess(const trace::TraceView& tr,
   // pathological rank cannot reserve unbounded memory up front.
   segments.reserve(std::min<std::size_t>(pin.events().size() / 2, 4096));
   replayKernel(pin.events(), kernel, segments);
-  PERFVAR_COUNTER_ADD("sos.segments", segments.size());
   return segments;
 }
 
@@ -337,14 +346,15 @@ SosResult analyzeSos(const trace::TraceView& tr,
                      util::ThreadPool* pool) {
   PERFVAR_REQUIRE(segmentFunction < tr.functions().size(),
                   "segmentation function is not defined in this trace");
-  const std::vector<bool> syncMask = classifier.mask(tr);
+  const std::vector<std::uint8_t> functionTable =
+      detail::sosFunctionTable(tr.functions(), classifier.mask(tr));
   std::vector<std::vector<SegmentAnalysis>> perProcess(tr.processCount());
   util::parallelChunks(
-      pool, tr.processCount(), 1, [&](std::size_t begin, std::size_t end) {
+      pool, tr.processCount(), [&](std::size_t begin, std::size_t end) {
         // One kernel per chunk: its metric-state buffers are sized by the
         // (fixed) metric count, so later ranks reuse the allocation.
-        detail::SosKernel kernel(tr.functions(), tr.metrics(),
-                                 segmentFunction, syncMask);
+        detail::SosKernel kernel(functionTable, tr.metrics(),
+                                 segmentFunction);
         for (std::size_t p = begin; p < end; ++p) {
           perProcess[p] = detail::analyzeSosProcess(
               tr, static_cast<trace::ProcessId>(p), kernel);

@@ -20,6 +20,7 @@
 /// accumulated metric — both used by the case-study reproductions.
 
 #include <array>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -156,20 +157,32 @@ SosResult analyzeSosWindows(trace::Trace&&, trace::Timestamp,
 
 namespace detail {
 
+/// Set in a sosFunctionTable entry when the classifier counts the function
+/// as synchronization; the low bits hold its paradigm index.
+inline constexpr std::uint8_t kSosSyncBit = 0x80;
+static_assert(kParadigmCount <= kSosSyncBit,
+              "paradigm indices must stay below the sync bit");
+
+/// Per-function facts SosKernel reads on every event inside a segment,
+/// built once per run: the paradigm index, plus kSosSyncBit when
+/// `syncMask` marks the function.
+std::vector<std::uint8_t> sosFunctionTable(
+    const trace::FunctionRegistry& functions,
+    const std::vector<bool>& syncMask);
+
 /// The per-rank SOS state machine, the one place SOS-time is accumulated:
 /// batch analyzeSos drives it through the inlined replay walk, StreamingSos
 /// feeds it event by event. It tracks the outermost invocation of the
 /// segmentation function (SegmentBoundary), the maximal synchronization and
 /// per-paradigm frames inside it, and the metric deltas. The caller
 /// delivers a balanced stream (replay and StreamingSos both reject
-/// unbalanced ones). The registries and the classifier mask are borrowed
-/// and must outlive the kernel.
+/// unbalanced ones). The function table and the metric registry are
+/// borrowed and must outlive the kernel.
 class SosKernel {
 public:
-  SosKernel(const trace::FunctionRegistry& functions,
+  SosKernel(const std::vector<std::uint8_t>& functionTable,
             const trace::MetricRegistry& metrics,
-            trace::FunctionId segmentFunction,
-            const std::vector<bool>& syncMask);
+            trace::FunctionId segmentFunction);
 
   /// Start the stream of rank `p`: no open frames, segment index 0, no
   /// metric sample seen. Keeps the buffers' allocations.
@@ -182,9 +195,8 @@ public:
   void metric(const trace::Event& e);
 
 private:
-  const trace::FunctionRegistry* functions_;
+  const std::vector<std::uint8_t>* functions_;
   const trace::MetricRegistry* metrics_;
-  const std::vector<bool>* syncMask_;
   SegmentBoundary segment_;
   SegmentAnalysis current_;  // accumulators of the open segment
   std::size_t syncNesting_ = 0;
@@ -205,11 +217,13 @@ inline void SosKernel::enter(trace::FunctionId fn, trace::Timestamp t) {
     current_.metricDelta.assign(metrics_->size(), 0.0);
   }
   if (segment_.inside()) {
-    const auto par = static_cast<std::size_t>(functions_->at(fn).paradigm);
+    PERFVAR_REQUIRE(fn < functions_->size(), "invalid function id");
+    const std::uint8_t info = (*functions_)[fn];
+    const auto par = static_cast<std::size_t>(info & ~kSosSyncBit);
     if (paradigmNesting_[par]++ == 0) {
       paradigmStart_[par] = t;
     }
-    if ((*syncMask_)[fn] && syncNesting_++ == 0) {
+    if ((info & kSosSyncBit) != 0 && syncNesting_++ == 0) {
       syncStart_ = t;
     }
   }
@@ -218,12 +232,14 @@ inline void SosKernel::enter(trace::FunctionId fn, trace::Timestamp t) {
 inline std::optional<SegmentAnalysis> SosKernel::leave(trace::FunctionId fn,
                                                        trace::Timestamp t) {
   if (segment_.inside()) {
-    const auto par = static_cast<std::size_t>(functions_->at(fn).paradigm);
+    PERFVAR_REQUIRE(fn < functions_->size(), "invalid function id");
+    const std::uint8_t info = (*functions_)[fn];
+    const auto par = static_cast<std::size_t>(info & ~kSosSyncBit);
     PERFVAR_ASSERT(paradigmNesting_[par] > 0, "paradigm nesting underflow");
     if (--paradigmNesting_[par] == 0) {
       current_.paradigmTime[par] += t - paradigmStart_[par];
     }
-    if ((*syncMask_)[fn]) {
+    if ((info & kSosSyncBit) != 0) {
       PERFVAR_ASSERT(syncNesting_ > 0, "sync nesting underflow");
       if (--syncNesting_ == 0) {
         current_.syncTime += t - syncStart_;
@@ -246,8 +262,9 @@ inline std::optional<SegmentAnalysis> SosKernel::leave(trace::FunctionId fn,
 
 inline void SosKernel::metric(const trace::Event& e) {
   const trace::MetricId m = e.ref;
+  PERFVAR_REQUIRE(m < metrics_->size(), "invalid metric id");
   const bool accumulated =
-      metrics_->at(m).mode == trace::MetricMode::Accumulated;
+      metrics_->all()[m].mode == trace::MetricMode::Accumulated;
   if (segment_.inside() && !current_.metricDelta.empty()) {
     if (accumulated) {
       const double base = seenMetric_[m] ? lastMetric_[m] : 0.0;

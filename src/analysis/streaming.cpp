@@ -27,11 +27,12 @@ StreamingSos::StreamingSos(const trace::Trace& definitions,
     : defs_(&definitions), options_(options) {
   PERFVAR_REQUIRE(segmentFunction < definitions.functions.size(),
                   "segmentation function is not defined");
-  syncMask_ = options_.classifier.mask(definitions);
+  functionTable_ = detail::sosFunctionTable(
+      definitions.functions, options_.classifier.mask(definitions));
   kernels_.reserve(definitions.processCount());
   for (trace::ProcessId p = 0; p < definitions.processCount(); ++p) {
-    kernels_.emplace_back(definitions.functions, definitions.metrics,
-                          segmentFunction, syncMask_);
+    kernels_.emplace_back(functionTable_, definitions.metrics,
+                          segmentFunction);
     kernels_.back().reset(p);
   }
   stacks_.resize(definitions.processCount());

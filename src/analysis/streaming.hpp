@@ -104,7 +104,7 @@ private:
 
   const trace::Trace* defs_;
   StreamingOptions options_;
-  std::vector<bool> syncMask_;
+  std::vector<std::uint8_t> functionTable_;  ///< detail::sosFunctionTable
   std::vector<detail::SosKernel> kernels_;  ///< one per process
   /// Open frames per process, to reject unbalanced leaves as they arrive.
   std::vector<std::vector<trace::FunctionId>> stacks_;

@@ -21,7 +21,7 @@ namespace {
 /// Bodies write disjoint slots, so the result does not depend on the pool.
 template <typename Body>
 void forEachIndex(util::ThreadPool* pool, std::size_t n, const Body& body) {
-  util::parallelChunks(pool, n, 1, [&](std::size_t begin, std::size_t end) {
+  util::parallelChunks(pool, n, [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
       body(i);
     }

@@ -171,19 +171,11 @@ struct AnalysisEngine::Impl {
   std::atomic<std::uint64_t> misses{0};
   std::atomic<std::uint64_t> evictions{0};
 
-  /// Workers of the heavy stages (null when EngineOptions::threads == 1).
-  /// poolMutex serializes whole stage batches: ThreadPool::wait() waits
-  /// for pool-wide idleness, so interleaving two batches would let one
-  /// query wait on (and steal exceptions of) another's tasks.
-  std::unique_ptr<util::ThreadPool> pool;
-  std::mutex poolMutex;
+  /// Workers of the heavy stages (none when EngineOptions::threads == 1).
+  /// The pool serializes the batches of concurrent queries itself.
+  util::PoolScope pool;
 
-  /// Exclusive use of `pool` for one stage call; a no-op without a pool,
-  /// so inline engines answer concurrent queries without serializing.
-  std::unique_lock<std::mutex> lockPool() {
-    return pool ? std::unique_lock<std::mutex>(poolMutex)
-                : std::unique_lock<std::mutex>();
-  }
+  explicit Impl(std::size_t threads) : pool(nullptr, threads) {}
 
   template <typename Map>
   void evictLruFrom(Map& map, typename Map::iterator victim) {
@@ -273,34 +265,12 @@ AnalysisEngine::AnalysisEngine(trace::Trace trace, EngineOptions options)
 AnalysisEngine::AnalysisEngine(trace::TraceView view, EngineOptions options)
     : view_(std::move(view)),
       options_(options),
-      impl_(std::make_unique<Impl>()) {
+      impl_(std::make_unique<Impl>(options_.threads)) {
   // Degraded input: build the filtered analysis view once; every stage
   // (and every cache entry) is then relative to it, exactly like
   // analyzeTrace() on the same trace.
   analysisView_ =
       view_.quarantined().empty() ? view_ : view_.dropQuarantined();
-  if (options_.threads != 1) {
-    impl_->pool = std::make_unique<util::ThreadPool>(options_.threads);
-  }
-  if (options_.lintOnLoad) {
-    const auto report = lintReport();
-    if (report->hasAtLeast(options_.lintGateSeverity)) {
-      std::ostringstream os;
-      os << "lint-on-load gate: trace has "
-         << report->countAtLeast(options_.lintGateSeverity)
-         << " finding(s) at or above "
-         << lint::severityName(options_.lintGateSeverity);
-      for (const lint::Finding& f : report->findings) {
-        if (f.severity >= options_.lintGateSeverity) {
-          os << "\n  first: [" << f.rule << "] " << f.message;
-          break;
-        }
-      }
-      ErrorContext context;
-      context.code = ErrorCode::MalformedEvent;
-      throw Error(os.str(), std::move(context));
-    }
-  }
 }
 
 AnalysisEngine::~AnalysisEngine() = default;
@@ -324,7 +294,6 @@ AnalysisEngine AnalysisEngine::fromFileLazy(const std::string& path,
 
 std::shared_ptr<const profile::FlatProfile> AnalysisEngine::profile() {
   return impl_->getOrCompute(impl_->profile, 0, 0, [&] {
-    const auto poolLock = impl_->lockPool();
     return profile::FlatProfile::build(analysisView_, impl_->pool.get());
   });
 }
@@ -333,11 +302,8 @@ std::shared_ptr<const lint::LintReport> AnalysisEngine::lintReport() {
   // Lint the raw trace (not the filtered view): the quarantine-interaction
   // rule exists precisely to surface the ranks the analyses drop.
   return impl_->getOrCompute(impl_->lint, 0, 0, [&] {
-    lint::LintOptions lintOptions;
-    lintOptions.disabledRules = options_.lintDisabledRules;
-    const auto poolLock = impl_->lockPool();
-    return lint::lintTrace(view_, lintOptions, lint::RuleRegistry::builtin(),
-                           impl_->pool.get());
+    return lint::lintTrace(view_, lint::LintOptions{},
+                           lint::RuleRegistry::builtin(), impl_->pool.get());
   });
 }
 
@@ -359,7 +325,6 @@ std::shared_ptr<const analysis::DepAnalysis> AnalysisEngine::depAnalysis(
         // The engine's pool (null = inline) is the only executor.
         analysis::DepAnalysisOptions effective = options;
         effective.threads = 1;
-        const auto poolLock = impl_->lockPool();
         return analysis::analyzeDependencies(analysisView_, effective,
                                              impl_->pool.get());
       });
@@ -405,7 +370,6 @@ EngineResult AnalysisEngine::analyze(const analysis::PipelineOptions& options) {
       fingerprintSos(result.segmentFunction, options.sync);
   result.sos = impl_->getOrCompute(
       impl_->sos, sosKey, options_.maxCacheEntries, [&] {
-        const auto poolLock = impl_->lockPool();
         return analysis::analyzeSos(analysisView_, result.segmentFunction,
                                     options.sync, impl_->pool.get());
       });
@@ -413,7 +377,6 @@ EngineResult AnalysisEngine::analyze(const analysis::PipelineOptions& options) {
   result.variation = impl_->getOrCompute(
       impl_->variation, fingerprintVariation(sosKey, options.variation),
       options_.maxCacheEntries, [&] {
-        const auto poolLock = impl_->lockPool();
         return analysis::analyzeVariation(*result.sos, options.variation,
                                           impl_->pool.get());
       });

@@ -38,10 +38,8 @@
 /// threads racing on the same missing key may both compute it; the first
 /// insert wins and both observe the same instance afterwards). Each stage
 /// is one call of its library function with the engine's
-/// util::ThreadPool, which exists only when threads != 1. A second mutex
-/// serializes the stage calls that use that pool (its wait() semantics do
-/// not allow interleaved batches); without a pool stages run inline on
-/// the querying thread and concurrent queries do not serialize.
+/// util::ThreadPool, which exists only when threads != 1; without a pool
+/// stages run inline on the querying thread.
 ///
 /// Capacity: derived-stage entries (dominant/SOS/variation) are evicted
 /// least-recently-used once their count exceeds EngineOptions
@@ -63,10 +61,6 @@
 #include "trace/trace.hpp"
 #include "trace/view.hpp"
 
-namespace perfvar::util {
-class ThreadPool;
-}
-
 namespace perfvar::engine {
 
 /// Construction-time options of an engine.
@@ -78,18 +72,6 @@ struct EngineOptions {
   /// Maximum number of cached derived-stage results (dominant + SOS +
   /// variation entries together; the profile is exempt). 0 = unlimited.
   std::size_t maxCacheEntries = 64;
-
-  /// Opt-in lint-on-load gate: run lint::lintTrace() over the raw trace
-  /// (quarantined ranks included) at construction and refuse the session
-  /// — by throwing perfvar::Error — when the report has a finding at or
-  /// above `lintGateSeverity`. The report is cached either way and
-  /// available via lintReport() without recomputation.
-  bool lintOnLoad = false;
-  /// Severity at (or above) which lintOnLoad rejects the trace.
-  lint::Severity lintGateSeverity = lint::Severity::Error;
-  /// Rule suppression applied to the lint-on-load run (and the cached
-  /// report). Execution (the worker pool) is taken from the engine.
-  std::vector<std::string> lintDisabledRules;
 };
 
 /// Cache observability counters (cumulative since construction).
@@ -163,8 +145,8 @@ public:
 
   /// The lint report of the raw trace (quarantined ranks included),
   /// computed once per engine on the engine's workers and cached like the
-  /// profile. With EngineOptions::lintOnLoad it was already computed (and
-  /// gated) during construction, so this is a cache hit.
+  /// profile. A caller gates on it with
+  /// `if (eng.lintReport()->hasAtLeast(severity))`.
   std::shared_ptr<const lint::LintReport> lintReport();
 
   /// The dominant-function ranking (stage 2) under `options`.

@@ -326,7 +326,7 @@ LintReport lintTrace(const trace::TraceView& trace, const LintOptions& options,
     sortRankFindings(out, ruleOrder, findingRule);
   };
 
-  util::parallelChunks(scope.get(), processCount, 1,
+  util::parallelChunks(scope.get(), processCount,
                        [&](std::size_t begin, std::size_t end) {
                          for (std::size_t p = begin; p < end; ++p) {
                            checkRank(p);

@@ -314,7 +314,9 @@ std::string formatOpenMessage(const std::string& name, const std::string& fn,
 // ---- TraceService ---------------------------------------------------------
 
 TraceService::TraceService(ServerOptions options)
-    : options_(std::move(options)), registry_(std::make_unique<Registry>()) {
+    : options_(std::move(options)),
+      pool_(nullptr, options_.threads),
+      registry_(std::make_unique<Registry>()) {
   if (options_.recover && !options_.journalDir.empty()) {
     recoverJournals();
   }
@@ -479,11 +481,10 @@ std::vector<util::Frame> TraceService::handleLoad(
     if (!entry->engine) {
       try {
         trace::BinaryReadOptions ro;
-        ro.threads = options_.threads;
+        ro.pool = pool_.get();
         trace::Trace tr = trace::loadBinaryFile(path, ro);
         engine::EngineOptions eo;
         eo.threads = options_.threads;
-        eo.maxCacheEntries = options_.maxCacheEntries;
         auto eng = std::make_unique<engine::AnalysisEngine>(std::move(tr),
                                                             eo);
         std::ostringstream msg;
@@ -676,11 +677,10 @@ std::shared_ptr<TraceService::Entry> TraceService::buildEngineEntry(
   entry->name = name;
   entry->path = path;
   trace::BinaryReadOptions ro;
-  ro.threads = options_.threads;
+  ro.pool = pool_.get();
   trace::Trace tr = trace::loadBinaryFile(path, ro);
   engine::EngineOptions eo;
   eo.threads = options_.threads;
-  eo.maxCacheEntries = options_.maxCacheEntries;
   auto eng = std::make_unique<engine::AnalysisEngine>(std::move(tr), eo);
   std::ostringstream msg;
   msg << "loaded " << name << ": " << eng->trace().processCount()
@@ -731,7 +731,7 @@ std::shared_ptr<TraceService::Entry> TraceService::buildLiveFromJournal(
       if (append.buffered) {
         try {
           trace::BinaryReadOptions ro;
-          ro.threads = options_.threads;
+          ro.pool = pool_.get();
           trace::Trace chunk = trace::readBinaryBuffer(
               append.image.data(), append.image.size(), ro);
           Entry::PendingChunk pc;
@@ -808,7 +808,7 @@ trace::AppendStats TraceService::commitChunkLocked(Entry& entry,
   }
 
   trace::BinaryReadOptions ro;
-  ro.threads = options_.threads;
+  ro.pool = pool_.get();
   const trace::AppendStats stats = trace::appendBinaryBuffer(
       entry.live, image.data(), image.size(), ro);
 
@@ -998,7 +998,7 @@ std::vector<util::Frame> TraceService::handleAppend(
       // is rejected with the same error taxonomy as a direct append, and
       // never journaled.
       trace::BinaryReadOptions ro;
-      ro.threads = options_.threads;
+      ro.pool = pool_.get();
       chunk = trace::readBinaryBuffer(append.image.data(),
                                       append.image.size(), ro);
       // Definition-only chunks carry no ordering constraint; commit them
@@ -1102,9 +1102,8 @@ std::vector<util::Frame> TraceService::handleAnalyze(
       PERFVAR_REQUIRE(entry->live.processCount() > 0,
                       "live trace '" + tokens[0] +
                           "' has no appended data yet");
-      opts.threads = options_.threads;
       const analysis::AnalysisResult result =
-          analysis::analyzeTrace(entry->live, opts);
+          analysis::analyzeTrace(entry->live, opts, pool_.get());
       out.push_back(frame(FrameType::Data,
                           analysis::formatAnalysis(entry->live, result)));
     }
@@ -1149,9 +1148,8 @@ std::vector<util::Frame> TraceService::handleExport(
       PERFVAR_REQUIRE(entry->live.processCount() > 0,
                       "live trace '" + tokens[0] +
                           "' has no appended data yet");
-      opts.threads = options_.threads;
       const analysis::AnalysisResult result =
-          analysis::analyzeTrace(entry->live, opts);
+          analysis::analyzeTrace(entry->live, opts, pool_.get());
       analysis::exportReport(entry->live, result, format, os);
     }
     out.push_back(frame(FrameType::Data, os.str()));
@@ -1194,10 +1192,10 @@ std::vector<util::Frame> TraceService::handleLint(
       PERFVAR_REQUIRE(entry->live.processCount() > 0,
                       "live trace '" + tokens[0] +
                           "' has no appended data yet");
-      lint::LintOptions lo;
-      lo.threads = options_.threads;
-      lint::exportLintReport(lint::lintTrace(entry->live, lo),
-                             analysis::ExportFormat::Text, os);
+      lint::exportLintReport(
+          lint::lintTrace(entry->live, lint::LintOptions{},
+                          lint::RuleRegistry::builtin(), pool_.get()),
+          analysis::ExportFormat::Text, os);
     }
     out.push_back(frame(FrameType::Data, os.str()));
     newBytes = entry->kind == Entry::Kind::Live

@@ -59,16 +59,16 @@
 #include "server/protocol.hpp"
 #include "trace/binary_io.hpp"
 #include "util/framing.hpp"
+#include "util/thread_pool.hpp"
 
 namespace perfvar::server {
 
 /// Construction-time options of a TraceService / Server.
 struct ServerOptions {
-  /// Worker threads of trace decode and analysis stages (per request):
-  /// 1 = inline, 0 = hardware concurrency.
+  /// Worker threads of trace decode and analysis stages: 1 = inline,
+  /// 0 = hardware concurrency. Live traces share one pool of this size;
+  /// each loaded engine owns another.
   std::size_t threads = 1;
-  /// Per-engine derived-stage cache capacity (EngineOptions equivalent).
-  std::size_t maxCacheEntries = 64;
   /// Global memory budget over all resident traces in bytes
   /// (trace::approxMemoryBytes accounting); 0 = unlimited. Exceeding it
   /// evicts least-recently-used entries (never the one being touched).
@@ -311,6 +311,8 @@ private:
       const std::vector<std::string>& tokens);
 
   ServerOptions options_;
+  /// Workers of every decode and live-trace stage (none for threads == 1).
+  util::PoolScope pool_;
   std::unique_ptr<Registry> registry_;
 };
 

@@ -117,12 +117,9 @@ Trace loadSelected(const std::string& directory,
   // writes only its own process slot (the remap table is read-only), and
   // slot order follows the selection, so the result is identical for
   // every thread count.
-  std::unique_ptr<util::ThreadPool> pool;
-  if (options.threads != 1) {
-    pool = std::make_unique<util::ThreadPool>(options.threads);
-  }
+  const util::PoolScope pool(nullptr, options.threads);
   util::parallelChunks(
-      pool.get(), ranks.size(), 1, [&](std::size_t begin, std::size_t end) {
+      pool.get(), ranks.size(), [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
           Trace rankTrace = loadBinaryFile(rankPath(directory, ranks[i]));
           PERFVAR_REQUIRE(rankTrace.processCount() == 1,

@@ -28,7 +28,6 @@
 #include "trace/binary_format.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
-#include "util/perf_counters.hpp"
 #include "util/thread_pool.hpp"
 
 namespace perfvar::trace::detail {
@@ -138,7 +137,6 @@ std::uint64_t decodeVarint(const unsigned char*& p, const unsigned char* end) {
   // tests/trace_binary_v2_test.cpp pin it byte-for-byte (value, cursor
   // advance, error classification) against the scalar loop above.
   if (end - p >= 10) {
-    PERFVAR_COUNTER_INC("v2.varint_fast");
     const unsigned char* q = p;
     std::uint64_t v = static_cast<std::uint64_t>(q[0] & 0x7F);
     if ((q[0] & 0x80) == 0) {
@@ -194,7 +192,6 @@ std::uint64_t decodeVarint(const unsigned char*& p, const unsigned char* end) {
     p = q + 10;
     return v;
   }
-  PERFVAR_COUNTER_INC("v2.varint_scalar");
   return decodeVarintScalar(p, end);
 }
 
@@ -463,20 +460,6 @@ std::vector<std::string> decodeDefs(const unsigned char* image,
   return names;
 }
 
-/// Resolve the effective pool: the caller's, a transient one, or none
-/// (inline execution).
-util::ThreadPool* resolvePool(util::ThreadPool* external, std::size_t threads,
-                              std::unique_ptr<util::ThreadPool>& owned) {
-  if (external != nullptr) {
-    return external;
-  }
-  if (threads != 1) {
-    owned = std::make_unique<util::ThreadPool>(threads);
-    return owned.get();
-  }
-  return nullptr;
-}
-
 }  // namespace
 
 std::string encodeV2Defs(const FunctionRegistry& functions,
@@ -615,9 +598,8 @@ void writeBinaryV2(const Trace& trace, std::ostream& out,
   // only its own slot, so the bytes are thread-count independent).
   std::vector<std::string> blocks(nProcs);
   std::vector<std::uint64_t> hashes(nProcs, 0);
-  std::unique_ptr<util::ThreadPool> owned;
-  util::ThreadPool* pool = resolvePool(options.pool, options.threads, owned);
-  util::parallelChunks(pool, nProcs, 1,
+  const util::PoolScope pool(options.pool, options.threads);
+  util::parallelChunks(pool.get(), nProcs,
                        [&](std::size_t begin, std::size_t end) {
                          for (std::size_t i = begin; i < end; ++i) {
                            blocks[i] = encodeEvents(trace.processes[i]);
@@ -674,13 +656,12 @@ Trace readBinaryV2(const unsigned char* image, std::size_t size,
   const std::vector<std::string> names = decodeDefs(image, layout, trace);
 
   trace.processes.resize(layout.table.size());
-  std::unique_ptr<util::ThreadPool> owned;
-  util::ThreadPool* pool = resolvePool(options.pool, options.threads, owned);
+  const util::PoolScope pool(options.pool, options.threads);
   // Per-rank decode, zero-copy out of the image; every task verifies and
   // fills only its own process slot, and reassembly order is fixed by the
   // table, so the result is identical for every thread count.
   util::parallelChunks(
-      pool, layout.table.size(), 1, [&](std::size_t begin, std::size_t end) {
+      pool.get(), layout.table.size(), [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
           const TableEntry& t = layout.table[i];
           const V2BlockExtent extent{t.offset, t.size, t.events, t.hash,
@@ -765,13 +746,12 @@ Trace readBinaryV2Salvage(const unsigned char* image, std::size_t size,
   report.mode = RecoveryMode::Salvage;
   report.ranks.assign(nProcs, RankLoadStatus{});
 
-  std::unique_ptr<util::ThreadPool> owned;
-  util::ThreadPool* pool = resolvePool(options.pool, options.threads, owned);
+  const util::PoolScope pool(options.pool, options.threads);
   // Same rank-sharded shape as the strict reader: every task verifies,
   // decodes (or salvages) and reports only its own process slot, so the
   // result is identical for every thread count.
-  util::parallelChunks(pool, nProcs, 1, [&](std::size_t begin,
-                                            std::size_t end) {
+  util::parallelChunks(pool.get(), nProcs, [&](std::size_t begin,
+                                                  std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
       const TableEntry& t = layout.table[i];
       RankLoadStatus& st = report.ranks[i];

@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "util/error.hpp"
-#include "util/perf_counters.hpp"
 
 namespace perfvar::stats {
 
@@ -263,7 +262,6 @@ std::vector<double> leaveOneOutZ(std::span<const double> xs) {
         others.push_back(xs[j]);
       }
     }
-    PERFVAR_COUNTER_INC("stats.leave_one_out_fallback");
     return referenceZ(xs[i], others);
   };
 
@@ -322,7 +320,6 @@ std::vector<double> leaveOneOutZ(std::span<const double> xs) {
           kMadToSigma * medianOfSortedMinusOne(devs, devRank[k]);
       if (scale > 0.0) {
         out[i] = (xs[i] - med) / scale;
-        PERFVAR_COUNTER_INC("stats.leave_one_out_fast");
       } else {
         out[i] = fallback(i);
       }

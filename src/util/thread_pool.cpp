@@ -1,6 +1,7 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -9,21 +10,11 @@ namespace perfvar::util {
 
 namespace {
 
-/// Index of the current thread inside its owning pool. Every worker
-/// thread belongs to exactly one pool for its whole lifetime, so a plain
-/// thread_local (no pool tag) is unambiguous. Non-worker threads (the
-/// caller running an inline chunk) keep kNotAWorker and account their
-/// chunks to worker slot 0 only when the pool is asked.
-constexpr std::size_t kNotAWorker = static_cast<std::size_t>(-1);
-thread_local std::size_t tlsWorkerIndex = kNotAWorker;
+/// The pool the current thread is a worker of (null elsewhere); a
+/// runChunks on that pool from a chunk body would wait for itself.
+thread_local const ThreadPool* tlsOwnPool = nullptr;
 
 }  // namespace
-
-std::uint64_t ThreadPoolStats::totalTasks() const {
-  std::uint64_t total = 0;
-  for (const Worker& w : workers) total += w.tasksRun;
-  return total;
-}
 
 std::uint64_t ThreadPoolStats::totalChunks() const {
   std::uint64_t total = 0;
@@ -45,15 +36,15 @@ std::uint64_t ThreadPoolStats::totalIdleWakeups() const {
 
 std::string formatThreadPoolStats(const ThreadPoolStats& stats) {
   std::ostringstream os;
-  os << "thread pool: " << stats.workers.size() << " workers, tasks="
-     << stats.totalTasks() << " chunks=" << stats.totalChunks()
+  os << "thread pool: " << stats.workers.size()
+     << " workers, chunks=" << stats.totalChunks()
      << " stolen=" << stats.totalStolen()
      << " idle-wakeups=" << stats.totalIdleWakeups() << '\n';
   for (std::size_t i = 0; i < stats.workers.size(); ++i) {
     const ThreadPoolStats::Worker& w = stats.workers[i];
-    os << "  worker " << i << ": tasks=" << w.tasksRun
-       << " chunks=" << w.chunksRun << " stolen=" << w.chunksStolen
-       << " idle-wakeups=" << w.idleWakeups << '\n';
+    os << "  worker " << i << ": chunks=" << w.chunksRun
+       << " stolen=" << w.chunksStolen << " idle-wakeups=" << w.idleWakeups
+       << '\n';
   }
   return os.str();
 }
@@ -79,80 +70,17 @@ ThreadPool::~ThreadPool() {
     std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
   }
-  taskReady_.notify_all();
+  workReady_.notify_all();
   for (auto& w : workers_) {
     w.join();
   }
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-  PERFVAR_REQUIRE(task != nullptr, "cannot submit an empty task");
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(std::move(task));
-    ++inFlight_;
-  }
-  taskReady_.notify_one();
-}
-
-void ThreadPool::wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_.wait(lock, [this] { return inFlight_ == 0; });
-  if (firstError_) {
-    std::exception_ptr err;
-    std::swap(err, firstError_);
-    std::rethrow_exception(err);
-  }
-}
-
-void ThreadPool::recordError() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!firstError_) {
-    firstError_ = std::current_exception();
-  }
-}
-
-void ThreadPool::workerLoop(std::size_t workerIndex) {
-  tlsWorkerIndex = workerIndex;
-  WorkerCounters& counters = counters_[workerIndex];
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      // Hand-rolled predicate loop so spurious/late wakeups (another
-      // worker grabbed the task first) are countable.
-      while (!stop_ && queue_.empty()) {
-        taskReady_.wait(lock);
-        if (!stop_ && queue_.empty()) {
-          counters.idleWakeups.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      if (queue_.empty()) {
-        return;  // stop_ set and queue drained
-      }
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    counters.tasksRun.fetch_add(1, std::memory_order_relaxed);
-    try {
-      task();
-    } catch (...) {
-      recordError();
-    }
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (--inFlight_ == 0) {
-        idle_.notify_all();
-      }
-    }
-  }
-}
-
-/// Shared state of one runChunks call. Lives on the caller's stack: the
-/// caller blocks in wait() until every runner finished, so the runners'
-/// raw pointer never dangles.
+/// One runChunks batch. Lives on the caller's stack: the caller returns
+/// only after every worker has left the run (pending == 0, observed under
+/// the pool mutex), so the workers' pointer never dangles.
 struct ThreadPool::ChunkRun {
-  /// One contiguous slice of the chunk index space, owned by one runner.
+  /// One contiguous slice of the chunk index space, owned by one worker.
   /// Claims are a single fetch_add on `next`; a cursor past `end` just
   /// means the shard is drained (overshoot is bounded by the batch size
   /// times the number of failed claims, far from wrapping).
@@ -161,111 +89,132 @@ struct ThreadPool::ChunkRun {
     std::size_t end = 0;
   };
 
-  std::size_t n = 0;
-  std::size_t grain = 1;
-  bool stealing = true;
+  const std::function<void(std::size_t, std::size_t)>* body = nullptr;
   std::size_t batch = 1;
   std::size_t stealBatch = 1;
   // Raw array: Shard holds an atomic, so vector growth is ill-formed.
   std::unique_ptr<Shard[]> shards;
   std::size_t shardCount = 0;
+  std::size_t pending = 0;  ///< workers not yet done with this run
+  std::exception_ptr error;  ///< first exception of this run
 };
 
-void ThreadPool::runnerLoop(
-    ChunkRun& run, std::size_t shard,
-    const std::function<void(std::size_t, std::size_t)>& body) {
-  const std::size_t self = tlsWorkerIndex == kNotAWorker ? 0 : tlsWorkerIndex;
+void ThreadPool::workerLoop(std::size_t self) {
+  tlsOwnPool = this;
   WorkerCounters& counters = counters_[self];
-  const auto runRange = [&](std::size_t chunkBegin, std::size_t chunkEnd,
-                            bool stolen) {
-    for (std::size_t c = chunkBegin; c < chunkEnd; ++c) {
-      const std::size_t begin = c * run.grain;
-      const std::size_t end = std::min(run.n, begin + run.grain);
-      try {
-        body(begin, end);
-      } catch (...) {
-        // Match the one-task-per-chunk behavior of the old scheduler:
-        // record the first error, keep running the remaining chunks.
-        recordError();
-      }
-    }
-    counters.chunksRun.fetch_add(chunkEnd - chunkBegin,
-                                 std::memory_order_relaxed);
-    if (stolen) {
-      counters.chunksStolen.fetch_add(chunkEnd - chunkBegin,
-                                      std::memory_order_relaxed);
-    }
-  };
-
-  ChunkRun::Shard& own = run.shards[shard];
+  // Every worker takes part in every run, and a run completes only when
+  // all have left it, so the generation advances by exactly one between
+  // two runs this worker sees.
+  std::uint64_t seen = 0;
   for (;;) {
-    const std::size_t begin =
-        own.next.fetch_add(run.batch, std::memory_order_relaxed);
-    if (begin >= own.end) {
-      break;
-    }
-    runRange(begin, std::min(own.end, begin + run.batch), false);
-  }
-  if (!run.stealing) {
-    return;
-  }
-  for (std::size_t k = 1; k < run.shardCount; ++k) {
-    ChunkRun::Shard& victim = run.shards[(shard + k) % run.shardCount];
-    for (;;) {
-      const std::size_t begin =
-          victim.next.fetch_add(run.stealBatch, std::memory_order_relaxed);
-      if (begin >= victim.end) {
-        break;
+    ChunkRun* run = nullptr;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      // Hand-rolled predicate loop so spurious wakeups are countable.
+      while (!stop_ && generation_ == seen) {
+        workReady_.wait(lock);
+        if (!stop_ && generation_ == seen) {
+          counters.idleWakeups.fetch_add(1, std::memory_order_relaxed);
+        }
       }
-      runRange(begin, std::min(victim.end, begin + run.stealBatch), true);
+      if (stop_) {
+        return;
+      }
+      seen = generation_;
+      run = run_;
+    }
+    runShards(*run, self);
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (--run->pending == 0) {
+      runDone_.notify_one();
     }
   }
 }
 
+void ThreadPool::runShards(ChunkRun& run, std::size_t self) {
+  WorkerCounters& counters = counters_[self];
+  // Drain one shard `step` chunks per claim. Claims on a foreign shard
+  // are steals; a worker without a shard of its own (n < threads) only
+  // steals.
+  const auto drain = [&](ChunkRun::Shard& shard, std::size_t step,
+                         bool stolen) {
+    for (;;) {
+      const std::size_t begin =
+          shard.next.fetch_add(step, std::memory_order_relaxed);
+      if (begin >= shard.end) {
+        return;
+      }
+      const std::size_t end = std::min(shard.end, begin + step);
+      for (std::size_t c = begin; c < end; ++c) {
+        try {
+          (*run.body)(c, c + 1);
+        } catch (...) {
+          // Record the first error, keep running the remaining chunks.
+          std::lock_guard<std::mutex> lock(mutex_);
+          if (!run.error) {
+            run.error = std::current_exception();
+          }
+        }
+      }
+      counters.chunksRun.fetch_add(end - begin, std::memory_order_relaxed);
+      if (stolen) {
+        counters.chunksStolen.fetch_add(end - begin,
+                                        std::memory_order_relaxed);
+      }
+    }
+  };
+  const bool owner = self < run.shardCount;
+  const std::size_t home = self % run.shardCount;
+  for (std::size_t k = 0; k < run.shardCount; ++k) {
+    const bool stolen = k > 0 || !owner;
+    drain(run.shards[(home + k) % run.shardCount],
+          stolen ? run.stealBatch : run.batch, stolen);
+  }
+}
+
 void ThreadPool::runChunks(
-    std::size_t n, const ChunkOptions& options,
-    const std::function<void(std::size_t, std::size_t)>& body) {
+    std::size_t n, const std::function<void(std::size_t, std::size_t)>& body) {
   PERFVAR_REQUIRE(body != nullptr, "runChunks needs a body");
+  PERFVAR_REQUIRE(tlsOwnPool != this,
+                  "runChunks called from a chunk body of the same pool "
+                  "(nested parallelism would deadlock)");
   if (n == 0) {
     return;
   }
-  const std::size_t grain = std::max<std::size_t>(1, options.grain);
-  const std::size_t numChunks = (n + grain - 1) / grain;
-  if (threadCount() <= 1 || numChunks <= 1) {
+  if (threadCount() <= 1 || n == 1) {
     body(0, n);
     return;
   }
 
   ChunkRun run;
-  run.n = n;
-  run.grain = grain;
-  run.stealing = options.stealing;
-  const std::size_t runners = std::min(threadCount(), numChunks);
-  run.batch = options.batch != 0
-                  ? options.batch
-                  : std::clamp<std::size_t>(numChunks / (runners * 16), 1, 32);
+  run.body = &body;
+  const std::size_t shards = std::min(threadCount(), n);
+  run.batch = std::clamp<std::size_t>(n / (shards * 16), 1, 32);
   run.stealBatch = std::max<std::size_t>(1, run.batch / 4);
-
   // Static contiguous partition of the chunk space: shard s owns
-  // [s*per + min(s, rem), ...) — a function of numChunks and the worker
-  // count only. With stealing off this *is* the schedule.
-  run.shards = std::make_unique<ChunkRun::Shard[]>(runners);
-  run.shardCount = runners;
-  const std::size_t per = numChunks / runners;
-  const std::size_t rem = numChunks % runners;
-  std::size_t chunkCursor = 0;
-  for (std::size_t s = 0; s < runners; ++s) {
-    const std::size_t len = per + (s < rem ? 1 : 0);
-    run.shards[s].next.store(chunkCursor, std::memory_order_relaxed);
-    run.shards[s].end = chunkCursor + len;
-    chunkCursor += len;
+  // [s*per + min(s, rem), ...) — a function of n and the worker count only.
+  run.shards = std::make_unique<ChunkRun::Shard[]>(shards);
+  run.shardCount = shards;
+  const std::size_t per = n / shards;
+  const std::size_t rem = n % shards;
+  std::size_t cursor = 0;
+  for (std::size_t s = 0; s < shards; ++s) {
+    run.shards[s].next.store(cursor, std::memory_order_relaxed);
+    cursor += per + (s < rem ? 1 : 0);
+    run.shards[s].end = cursor;
   }
 
-  ChunkRun* shared = &run;
-  for (std::size_t s = 0; s < runners; ++s) {
-    submit([this, shared, s, &body] { runnerLoop(*shared, s, body); });
+  const std::lock_guard<std::mutex> batch(batchMutex_);
+  std::unique_lock<std::mutex> lock(mutex_);
+  run.pending = threadCount();
+  run_ = &run;
+  ++generation_;
+  workReady_.notify_all();
+  runDone_.wait(lock, [&run] { return run.pending == 0; });
+  run_ = nullptr;
+  if (run.error) {
+    std::rethrow_exception(run.error);
   }
-  wait();
 }
 
 ThreadPoolStats ThreadPool::stats() const {
@@ -273,7 +222,6 @@ ThreadPoolStats ThreadPool::stats() const {
   out.workers.resize(workers_.size());
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     const WorkerCounters& c = counters_[i];
-    out.workers[i].tasksRun = c.tasksRun.load(std::memory_order_relaxed);
     out.workers[i].chunksRun = c.chunksRun.load(std::memory_order_relaxed);
     out.workers[i].chunksStolen =
         c.chunksStolen.load(std::memory_order_relaxed);
@@ -286,32 +234,20 @@ ThreadPoolStats ThreadPool::stats() const {
 void ThreadPool::resetStats() {
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     WorkerCounters& c = counters_[i];
-    c.tasksRun.store(0, std::memory_order_relaxed);
     c.chunksRun.store(0, std::memory_order_relaxed);
     c.chunksStolen.store(0, std::memory_order_relaxed);
     c.idleWakeups.store(0, std::memory_order_relaxed);
   }
 }
 
-void parallelChunks(ThreadPool* pool, std::size_t n, std::size_t grain,
-                    const std::function<void(std::size_t, std::size_t)>& body) {
-  ChunkOptions options;
-  options.grain = grain;
-  parallelChunks(pool, n, options, body);
-}
-
 void parallelChunks(ThreadPool* pool, std::size_t n,
-                    const ChunkOptions& options,
                     const std::function<void(std::size_t, std::size_t)>& body) {
   PERFVAR_REQUIRE(body != nullptr, "parallelChunks needs a body");
-  if (n == 0) {
-    return;
-  }
-  if (pool == nullptr) {
+  if (pool != nullptr) {
+    pool->runChunks(n, body);
+  } else if (n > 0) {
     body(0, n);
-    return;
   }
-  pool->runChunks(n, options, body);
 }
 
 PoolScope::PoolScope(ThreadPool* external, std::size_t threads)

@@ -2,28 +2,30 @@
 #define PERFVAR_UTIL_THREAD_POOL_HPP
 
 /// \file thread_pool.hpp
-/// Fixed-size thread pool used by the parallel analysis engine.
+/// Fixed-size fork-join pool used by the parallel analysis stages.
 ///
-/// Two scheduling layers. submit()/wait() is the original minimal shape:
-/// tasks go into one shared FIFO queue, workers drain it, wait() blocks
-/// until the pool is idle again. runChunks() is the throughput path for
-/// the per-rank analysis loops: the chunk index space is cut into one
-/// contiguous shard per worker, each worker claims batches from its own
-/// shard with a single atomic fetch_add, and (unless disabled) steals
-/// quarter-batches from the other shards once its own runs dry, so tail
-/// ranks of a skewed trace no longer leave the rest of the pool idle.
+/// runChunks(n, body) is the only way to run work on it: index i of
+/// [0, n) is chunk i, the chunk space is cut into one contiguous shard per
+/// worker, each worker claims batches from its own shard with a single
+/// atomic fetch_add and steals quarter-batches from the other shards once
+/// its own runs dry, so tail ranks of a skewed trace do not leave the rest
+/// of the pool idle. The calling thread publishes the batch and waits; it
+/// runs no chunk itself, so a pool of N threads means N workers.
 ///
-/// Determinism contract: chunk boundaries depend only on n and grain —
-/// never on the thread count, the batch size, or which worker ran a chunk.
-/// Callers keep results bit-identical by writing only disjoint per-chunk
-/// output slots; the scheduler only changes *who* runs a chunk and *when*.
+/// The pool serializes its own batches: concurrent callers queue up, and
+/// each gets its own completion and its own first exception. A runChunks
+/// issued from a chunk body on a worker of the same pool throws
+/// perfvar::Error instead of deadlocking.
+///
+/// Determinism contract: chunk boundaries depend only on n — never on the
+/// thread count, the batch size, or which worker ran a chunk. Callers keep
+/// results bit-identical by writing only disjoint per-chunk output slots;
+/// the scheduler only changes *who* runs a chunk and *when*.
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -33,32 +35,15 @@
 
 namespace perfvar::util {
 
-/// Scheduling knobs for ThreadPool::runChunks / parallelChunks.
-struct ChunkOptions {
-  /// Maximum indices per chunk (clamped to >= 1). Chunk c covers
-  /// [c*grain, min(n, (c+1)*grain)) regardless of every other knob.
-  std::size_t grain = 1;
-  /// Work stealing between worker shards. Off = static contiguous
-  /// partition of the chunk space (the pre-stealing baseline: tail-heavy
-  /// shards serialize on their owner).
-  bool stealing = true;
-  /// Chunks reserved per atomic claim on the worker's own shard; 0 picks
-  /// numChunks / (workers * 16) clamped to [1, 32]. Steals claim
-  /// quarter-batches so a thief never walks off with a victim's tail.
-  std::size_t batch = 0;
-};
-
 /// Per-worker scheduler counters, snapshot via ThreadPool::stats().
 struct ThreadPoolStats {
   struct Worker {
-    std::uint64_t tasksRun = 0;      ///< queue tasks executed (incl. runners)
     std::uint64_t chunksRun = 0;     ///< chunks executed via runChunks
     std::uint64_t chunksStolen = 0;  ///< subset of chunksRun from other shards
     std::uint64_t idleWakeups = 0;   ///< condvar wakeups with no work ready
   };
   std::vector<Worker> workers;
 
-  std::uint64_t totalTasks() const;
   std::uint64_t totalChunks() const;
   std::uint64_t totalStolen() const;
   std::uint64_t totalIdleWakeups() const;
@@ -68,15 +53,15 @@ struct ThreadPoolStats {
 /// worker), used by `trace_tool --verbose --threads N`.
 std::string formatThreadPoolStats(const ThreadPoolStats& stats);
 
-/// Fixed-size FIFO thread pool with exception propagation and a
-/// work-stealing chunk scheduler.
+/// Fixed-size pool running one batch of chunks at a time, with work
+/// stealing and exception propagation.
 class ThreadPool {
 public:
   /// Spawn `threads` workers; 0 means std::thread::hardware_concurrency()
   /// (at least one).
   explicit ThreadPool(std::size_t threads = 0);
 
-  /// Joins all workers; tasks still queued are executed first.
+  /// Joins all workers. No runChunks may be in flight.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -84,22 +69,12 @@ public:
 
   std::size_t threadCount() const { return workers_.size(); }
 
-  /// Enqueue a task. Tasks must not submit to or wait on the same pool
-  /// (no nested parallelism; a worker that blocks in wait() would
-  /// deadlock the queue it is supposed to drain).
-  void submit(std::function<void()> task);
-
-  /// Block until every submitted task has finished. If any task threw,
-  /// rethrows the first exception (later ones of the same batch are
-  /// dropped) and clears the error state so the pool stays usable.
-  void wait();
-
-  /// Split [0, n) into chunks of `options.grain` indices and run
-  /// body(begin, end) for every chunk across the pool, blocking until all
-  /// chunks finished. With one worker or a single chunk the body runs
-  /// inline as body(0, n). Exceptions from chunk bodies propagate like
-  /// wait(): remaining chunks still run, the first error is rethrown.
-  void runChunks(std::size_t n, const ChunkOptions& options,
+  /// Run body(i, i + 1) for every i in [0, n) across the workers and block
+  /// until all chunks finished. With one worker or n == 1 the body runs
+  /// inline as body(0, n). If chunk bodies throw, the remaining chunks
+  /// still run and the first exception is rethrown to this caller.
+  /// Throws perfvar::Error when called from a chunk body of this pool.
+  void runChunks(std::size_t n,
                  const std::function<void(std::size_t, std::size_t)>& body);
 
   /// Snapshot of the per-worker scheduler counters since construction or
@@ -118,40 +93,31 @@ private:
 
   /// One cache line per worker so counter updates never false-share.
   struct alignas(64) WorkerCounters {
-    std::atomic<std::uint64_t> tasksRun{0};
     std::atomic<std::uint64_t> chunksRun{0};
     std::atomic<std::uint64_t> chunksStolen{0};
     std::atomic<std::uint64_t> idleWakeups{0};
   };
 
-  void workerLoop(std::size_t workerIndex);
-  void runnerLoop(ChunkRun& run, std::size_t shard,
-                  const std::function<void(std::size_t, std::size_t)>& body);
-  void recordError();
+  void workerLoop(std::size_t self);
+  void runShards(ChunkRun& run, std::size_t self);
 
   std::vector<std::thread> workers_;
   std::unique_ptr<WorkerCounters[]> counters_;
-  std::deque<std::function<void()>> queue_;
-  mutable std::mutex mutex_;
-  std::condition_variable taskReady_;
-  std::condition_variable idle_;
-  std::size_t inFlight_ = 0;  ///< queued + currently running tasks
-  std::exception_ptr firstError_;
+  /// Held by a caller for its whole batch: one ChunkRun at a time.
+  std::mutex batchMutex_;
+  /// Guards run_, generation_, stop_ and the published run's pending
+  /// count and error.
+  std::mutex mutex_;
+  std::condition_variable workReady_;
+  std::condition_variable runDone_;
+  ChunkRun* run_ = nullptr;
+  std::uint64_t generation_ = 0;  ///< bumped once per published batch
   bool stop_ = false;
 };
 
-/// Split [0, n) into chunks of at most `grain` indices and run
-/// body(begin, end) for each. With a null pool, a single-threaded pool, or
-/// n <= grain everything runs inline on the calling thread; otherwise the
-/// chunks are scheduled via ThreadPool::runChunks (work stealing on) and
-/// waited for (exceptions propagate).
-/// Chunk boundaries depend only on n and grain, never on the thread count.
-void parallelChunks(ThreadPool* pool, std::size_t n, std::size_t grain,
-                    const std::function<void(std::size_t, std::size_t)>& body);
-
-/// As above with full scheduling control (stealing toggle, batch size).
+/// Run body(begin, end) over [0, n): inline as body(0, n) with a null
+/// pool, else via pool->runChunks (one index per chunk).
 void parallelChunks(ThreadPool* pool, std::size_t n,
-                    const ChunkOptions& options,
                     const std::function<void(std::size_t, std::size_t)>& body);
 
 /// The pool an entry point with a `threads` option runs on: the caller's

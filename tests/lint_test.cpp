@@ -617,47 +617,6 @@ TEST(EngineLint, ReportIsCachedLikeTheProfile) {
   EXPECT_GT(stats1.bytes, 0u);
 }
 
-TEST(EngineLint, LintOnLoadGateRejectsBrokenTraces) {
-  engine::EngineOptions options;
-  options.lintOnLoad = true;
-  try {
-    engine::AnalysisEngine eng(dirtyTrace(2), options);
-    FAIL() << "expected the lint gate to throw";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("lint-on-load gate"),
-              std::string::npos);
-  }
-}
-
-TEST(EngineLint, LintOnLoadGateAcceptsCleanAndWarningTraces) {
-  engine::EngineOptions options;
-  options.lintOnLoad = true;
-  EXPECT_NO_THROW(engine::AnalysisEngine eng(cleanTrace(), options));
-
-  // Warnings pass the default Error gate but fail a Warning gate.
-  Trace warned = cleanTrace();
-  warned.functions.intern("MPI_Bcast", "APP", trace::Paradigm::Compute);
-  warned.processes[0].events.insert(
-      warned.processes[0].events.begin(),
-      {Event::enter(0, 2), Event::leave(1, 2)});
-  EXPECT_NO_THROW(engine::AnalysisEngine eng(Trace(warned), options));
-  options.lintGateSeverity = Severity::Warning;
-  EXPECT_THROW(engine::AnalysisEngine eng(Trace(warned), options), Error);
-}
-
-TEST(EngineLint, GateRespectsDisabledRules) {
-  Trace warned = cleanTrace();
-  warned.functions.intern("MPI_Bcast", "APP", trace::Paradigm::Compute);
-  warned.processes[0].events.insert(
-      warned.processes[0].events.begin(),
-      {Event::enter(0, 2), Event::leave(1, 2)});
-  engine::EngineOptions options;
-  options.lintOnLoad = true;
-  options.lintGateSeverity = Severity::Warning;
-  options.lintDisabledRules = {"sync-coverage"};
-  EXPECT_NO_THROW(engine::AnalysisEngine eng(Trace(warned), options));
-}
-
 TEST(EngineLint, ParallelEngineLintMatchesSerial) {
   const Trace tr = dirtyTrace(6);
   engine::AnalysisEngine serial{Trace(tr)};

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -432,15 +433,16 @@ TEST(ParallelDifferential, StageEntryPointsMatchSerial) {
 
 // ---- thread pool unit coverage -------------------------------------------
 
-TEST(ThreadPool, RunsAllSubmittedTasksAndIsReusable) {
+TEST(ThreadPool, RunsEveryChunkAndIsReusable) {
   util::ThreadPool pool(4);
   EXPECT_EQ(pool.threadCount(), 4u);
   for (int round = 0; round < 3; ++round) {
     std::vector<int> hits(100, 0);
-    for (std::size_t i = 0; i < hits.size(); ++i) {
-      pool.submit([&hits, i] { hits[i] = 1; });
-    }
-    pool.wait();
+    pool.runChunks(hits.size(), [&hits](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) {
+        hits[i] = 1;
+      }
+    });
     for (const int h : hits) {
       EXPECT_EQ(h, 1);
     }
@@ -449,43 +451,35 @@ TEST(ThreadPool, RunsAllSubmittedTasksAndIsReusable) {
 
 TEST(ThreadPool, PropagatesTheFirstExceptionAndRecovers) {
   util::ThreadPool pool(2);
-  pool.submit([] { throw Error("boom"); });
-  EXPECT_THROW(pool.wait(), Error);
+  EXPECT_THROW(pool.runChunks(8,
+                              [](std::size_t begin, std::size_t) {
+                                if (begin == 3) {
+                                  throw Error("boom");
+                                }
+                              }),
+               Error);
   // The pool stays usable after an exception.
-  int ok = 0;
-  pool.submit([&ok] { ok = 1; });
-  pool.wait();
-  EXPECT_EQ(ok, 1);
+  std::atomic<int> ok{0};
+  pool.runChunks(2, [&ok](std::size_t, std::size_t) { ok.fetch_add(1); });
+  EXPECT_EQ(ok.load(), 2);
 }
 
 TEST(ThreadPool, ParallelChunksCoversTheIndexSpaceExactlyOnce) {
   util::ThreadPool pool(4);
-  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
-                              std::size_t{64}, std::size_t{1000}}) {
-    for (const std::size_t grain : {std::size_t{1}, std::size_t{3},
-                                    std::size_t{64}}) {
+  for (util::ThreadPool* p : {&pool, static_cast<util::ThreadPool*>(nullptr)}) {
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                                std::size_t{7}, std::size_t{64},
+                                std::size_t{1000}}) {
       std::vector<int> hits(n, 0);
-      util::parallelChunks(&pool, n, grain,
-                           [&](std::size_t begin, std::size_t end) {
-                             for (std::size_t i = begin; i < end; ++i) {
-                               ++hits[i];
-                             }
-                           });
+      util::parallelChunks(p, n, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          ++hits[i];
+        }
+      });
       for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(hits[i], 1) << "n=" << n << " grain=" << grain;
+        EXPECT_EQ(hits[i], 1) << "n=" << n << " pool=" << (p != nullptr);
       }
     }
-  }
-  // Null pool: runs inline.
-  std::vector<int> hits(10, 0);
-  util::parallelChunks(nullptr, hits.size(), 4,
-                       [&](std::size_t begin, std::size_t end) {
-                         for (std::size_t i = begin; i < end; ++i) {
-                           ++hits[i];
-                         }
-                       });
-  for (const int h : hits) {
-    EXPECT_EQ(h, 1);
   }
 }
 

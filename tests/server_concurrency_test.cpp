@@ -53,8 +53,13 @@ std::string imageOf(const trace::Trace& tr) {
 }
 
 const std::string& fixturePath() {
+  // One file per test: ctest -j runs this suite's tests as concurrent
+  // processes, and rewriting a shared file under a reader tears it.
   static const std::string path = [] {
-    const std::string p = "server_concurrency_test.pvt";
+    const std::string p =
+        std::string("server_concurrency_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".pvt";
     trace::saveBinaryFile(fixtureTrace(), p);
     return p;
   }();
@@ -109,8 +114,13 @@ std::vector<std::string> serialTranscript(std::size_t clientIndex) {
   return runScript(client, clientIndex);
 }
 
-void expectConcurrentMatchesSerial(std::size_t threads) {
-  Server server;
+/// `threads` clients at once against a server whose decode and analysis
+/// stages run on `serverThreads` workers; the reference stays inline.
+void expectConcurrentMatchesSerial(std::size_t threads,
+                                   std::size_t serverThreads = 1) {
+  ServerOptions options;
+  options.threads = serverThreads;
+  Server server(options);
   std::vector<std::vector<std::string>> got(threads);
   {
     std::vector<std::thread> workers;
@@ -145,6 +155,12 @@ TEST(ServerConcurrency, TwoClientsMatchSerial) {
 
 TEST(ServerConcurrency, EightClientsMatchSerial) {
   expectConcurrentMatchesSerial(8);
+}
+
+// Every live entry's appends, replays and reads share the daemon's one
+// pool, and each loaded engine brings its own.
+TEST(ServerConcurrency, EightClientsOnAFourWorkerServerMatchSerial) {
+  expectConcurrentMatchesSerial(8, 4);
 }
 
 /// Hammer one shared live entry from many threads at once. The append

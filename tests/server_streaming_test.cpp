@@ -179,7 +179,8 @@ TEST(ServerStreaming, GlobalBudgetEvictsLeastRecentlyUsed) {
 
 TEST(ServerStreaming, SessionBudgetDoesNotEvictOtherSessions) {
   const trace::Trace tr = outlierTrace();
-  const std::string path = "server_streaming_budget.pvt";
+  // Not the global-budget test's file: ctest -j runs both at once.
+  const std::string path = "server_streaming_session_budget.pvt";
   trace::saveBinaryFile(tr, path);
 
   ServerOptions options;

@@ -3,21 +3,23 @@
 /// detail::analyzeTraceReference) must produce byte-identical
 /// analysis output on skewed, uniform and empty-rank traces. Plus direct
 /// coverage of the work-stealing chunk scheduler itself: full coverage,
-/// deterministic chunk boundaries, exception propagation and the
-/// ThreadPoolStats counters. Runs under the TSan CI job (label:
-/// parallel).
+/// one index per chunk, exception propagation, concurrent callers, the
+/// nested-call guard and the ThreadPoolStats counters. Runs under the TSan
+/// CI job (label: parallel).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <mutex>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/pipeline.hpp"
 #include "analysis/sos.hpp"
 #include "apps/scale_synthetic.hpp"
 #include "profile/profile.hpp"
+#include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
 namespace perfvar {
@@ -140,8 +142,9 @@ TEST(ThroughputKernels, SosVisitorMatchesReference) {
     ASSERT_TRUE(selection.hasDominant());
     const trace::FunctionId fn = selection.dominant().function;
     const std::vector<bool> mask = analysis::SyncClassifier{}.mask(view);
-    analysis::detail::SosKernel kernel(view.functions(), view.metrics(), fn,
-                                       mask);
+    const std::vector<std::uint8_t> table =
+        analysis::detail::sosFunctionTable(view.functions(), mask);
+    analysis::detail::SosKernel kernel(table, view.metrics(), fn);
     for (std::size_t p = 0; p < view.processCount(); ++p) {
       const auto rank = static_cast<trace::ProcessId>(p);
       const auto fast = analysis::detail::analyzeSosProcess(view, rank, kernel);
@@ -187,88 +190,70 @@ TEST(ThroughputKernels, ExtractSegmentsMatchesSosSegments) {
 
 TEST(ChunkScheduler, EveryIndexCoveredExactlyOnce) {
   util::ThreadPool pool(4);
-  for (const bool stealing : {false, true}) {
-    for (const std::size_t batch : {std::size_t{0}, std::size_t{1},
-                                    std::size_t{5}}) {
-      const std::size_t n = 1000;
-      const std::size_t grain = 7;
-      std::vector<std::atomic<int>> hits(n);
-      util::ChunkOptions opts;
-      opts.grain = grain;
-      opts.stealing = stealing;
-      opts.batch = batch;
-      util::parallelChunks(&pool, n, opts,
-                           [&](std::size_t begin, std::size_t end) {
-                             // Chunk boundaries are a function of n and
-                             // grain only, regardless of scheduling.
-                             EXPECT_EQ(begin % grain, 0u);
-                             EXPECT_LE(end - begin, grain);
-                             EXPECT_TRUE(end == n || (end - begin) == grain);
-                             for (std::size_t i = begin; i < end; ++i) {
-                               hits[i].fetch_add(1,
-                                                 std::memory_order_relaxed);
-                             }
-                           });
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(hits[i].load(), 1)
-            << "i=" << i << " stealing=" << stealing << " batch=" << batch;
-      }
+  // n below, at and far above the worker count: workers without a shard
+  // of their own only steal.
+  for (const std::size_t n : {std::size_t{2}, std::size_t{3}, std::size_t{4},
+                              std::size_t{1000}}) {
+    std::vector<std::atomic<int>> hits(n);
+    pool.runChunks(n, [&](std::size_t begin, std::size_t end) {
+      EXPECT_EQ(end, begin + 1);  // one index per chunk
+      hits[begin].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "i=" << i << " n=" << n;
     }
   }
 }
 
 TEST(ChunkScheduler, NullPoolAndSingleChunkRunInline) {
   std::vector<std::pair<std::size_t, std::size_t>> ranges;
-  util::parallelChunks(nullptr, 10, 3,
-                       [&](std::size_t b, std::size_t e) {
-                         ranges.emplace_back(b, e);
-                       });
+  const auto record = [&](std::size_t b, std::size_t e) {
+    ranges.emplace_back(b, e);
+  };
+  util::parallelChunks(nullptr, 10, record);
   ASSERT_EQ(ranges.size(), 1u);
   EXPECT_EQ(ranges[0], std::make_pair(std::size_t{0}, std::size_t{10}));
 
+  // One chunk, or one worker: inline on the caller as body(0, n).
   util::ThreadPool pool(2);
   ranges.clear();
-  util::parallelChunks(&pool, 5, 100,
-                       [&](std::size_t b, std::size_t e) {
-                         ranges.emplace_back(b, e);
-                       });
-  ASSERT_EQ(ranges.size(), 1u);  // one chunk -> inline on the caller
-  EXPECT_EQ(ranges[0], std::make_pair(std::size_t{0}, std::size_t{5}));
+  util::parallelChunks(&pool, 1, record);
+  util::ThreadPool single(1);
+  util::parallelChunks(&single, 5, record);
+  ASSERT_EQ(ranges.size(), 2u);
+  EXPECT_EQ(ranges[0], std::make_pair(std::size_t{0}, std::size_t{1}));
+  EXPECT_EQ(ranges[1], std::make_pair(std::size_t{0}, std::size_t{5}));
+  EXPECT_EQ(pool.stats().totalChunks() + single.stats().totalChunks(), 0u);
 }
 
 TEST(ChunkScheduler, ExceptionPropagatesAndPoolStaysUsable) {
   util::ThreadPool pool(3);
-  util::ChunkOptions opts;
-  opts.grain = 1;
-  EXPECT_THROW(
-      util::parallelChunks(&pool, 64, opts,
-                           [&](std::size_t begin, std::size_t) {
-                             if (begin == 17) {
-                               throw std::runtime_error("boom");
-                             }
-                           }),
-      std::runtime_error);
+  std::atomic<std::size_t> ran{0};
+  EXPECT_THROW(pool.runChunks(64,
+                              [&](std::size_t begin, std::size_t) {
+                                ran.fetch_add(1, std::memory_order_relaxed);
+                                if (begin == 17) {
+                                  throw std::runtime_error("boom");
+                                }
+                              }),
+               std::runtime_error);
+  EXPECT_EQ(ran.load(), 64u);  // the other chunks still ran
 
-  // The error state is cleared; the pool keeps scheduling correctly.
+  // The error belonged to that batch; the pool keeps scheduling correctly.
   std::atomic<std::size_t> covered{0};
-  util::parallelChunks(&pool, 64, opts,
-                       [&](std::size_t begin, std::size_t end) {
-                         covered.fetch_add(end - begin,
-                                           std::memory_order_relaxed);
-                       });
+  pool.runChunks(64, [&](std::size_t begin, std::size_t end) {
+    covered.fetch_add(end - begin, std::memory_order_relaxed);
+  });
   EXPECT_EQ(covered.load(), 64u);
 }
 
 TEST(ChunkScheduler, StatsCountChunksAndReset) {
   util::ThreadPool pool(2);
-  util::ChunkOptions opts;
-  opts.grain = 1;
-  util::parallelChunks(&pool, 100, opts, [](std::size_t, std::size_t) {});
+  pool.runChunks(100, [](std::size_t, std::size_t) {});
   util::ThreadPoolStats stats = pool.stats();
   ASSERT_EQ(stats.workers.size(), 2u);
   EXPECT_EQ(stats.totalChunks(), 100u);
   EXPECT_LE(stats.totalStolen(), stats.totalChunks());
-  EXPECT_GT(stats.totalTasks(), 0u);
 
   const std::string text = util::formatThreadPoolStats(stats);
   EXPECT_NE(text.find("thread pool: 2 workers"), std::string::npos);
@@ -277,17 +262,86 @@ TEST(ChunkScheduler, StatsCountChunksAndReset) {
   pool.resetStats();
   stats = pool.stats();
   EXPECT_EQ(stats.totalChunks(), 0u);
-  EXPECT_EQ(stats.totalTasks(), 0u);
+  EXPECT_EQ(stats.totalStolen(), 0u);
 }
 
-TEST(ChunkScheduler, StealingDisabledStealsNothing) {
-  util::ThreadPool pool(4);
-  util::ChunkOptions opts;
-  opts.grain = 1;
-  opts.stealing = false;
-  pool.resetStats();
-  util::parallelChunks(&pool, 500, opts, [](std::size_t, std::size_t) {});
-  EXPECT_EQ(pool.stats().totalStolen(), 0u);
+TEST(ChunkScheduler, ConcurrentCallersGetTheirOwnBatchesAndErrors) {
+  util::ThreadPool pool(3);
+  constexpr std::size_t kCallers = 4;
+  constexpr std::size_t kRounds = 50;
+  constexpr std::size_t kThrower = 2;
+  std::vector<std::size_t> errors(kCallers, 0);
+  std::vector<std::size_t> badBatches(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        const std::size_t n = 17 + 13 * c + round;
+        std::vector<std::atomic<int>> hits(n);
+        try {
+          pool.runChunks(n, [&](std::size_t begin, std::size_t end) {
+            for (std::size_t i = begin; i < end; ++i) {
+              hits[i].fetch_add(1, std::memory_order_relaxed);
+            }
+            if (c == kThrower && begin % 5 == 0) {
+              throw Error("caller " + std::to_string(c));
+            }
+          });
+        } catch (const Error& e) {
+          ++errors[c];
+          if (std::string(e.what()).find("caller 2") == std::string::npos) {
+            ++badBatches[c];  // another caller's exception leaked in
+          }
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+          if (hits[i].load() != 1) {
+            ++badBatches[c];
+            break;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : callers) {
+    t.join();
+  }
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    EXPECT_EQ(errors[c], c == kThrower ? kRounds : 0u) << "caller " << c;
+    EXPECT_EQ(badBatches[c], 0u) << "caller " << c;
+  }
+}
+
+TEST(ChunkScheduler, NestedRunChunksOnTheSamePoolThrows) {
+  // Waiting on its own pool from a worker would deadlock; it must fail
+  // fast instead (the suite's ctest TIMEOUT catches a hang).
+  util::ThreadPool pool(2);
+  std::atomic<std::size_t> refused{0};
+  pool.runChunks(8, [&](std::size_t, std::size_t) {
+    try {
+      util::parallelChunks(&pool, 4, [](std::size_t, std::size_t) {});
+    } catch (const Error&) {
+      refused.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  EXPECT_EQ(refused.load(), 8u);
+
+  // Uncaught, it surfaces as the outer batch's error.
+  EXPECT_THROW(pool.runChunks(8,
+                              [&](std::size_t, std::size_t) {
+                                pool.runChunks(2, [](std::size_t,
+                                                     std::size_t) {});
+                              }),
+               Error);
+
+  // Another pool is fine from inside a chunk body.
+  util::ThreadPool other(2);
+  std::atomic<std::size_t> inner{0};
+  pool.runChunks(4, [&](std::size_t, std::size_t) {
+    other.runChunks(3, [&](std::size_t, std::size_t) {
+      inner.fetch_add(1, std::memory_order_relaxed);
+    });
+  });
+  EXPECT_EQ(inner.load(), 12u);
 }
 
 TEST(ChunkScheduler, PipelineExportsPoolStats) {
